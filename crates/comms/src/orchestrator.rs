@@ -318,6 +318,13 @@ pub struct DistributedTrainer<'m, M: TrainModel> {
     step: usize,
     diverged: bool,
     flush_seq: u64,
+    /// Per-pass assembly buffers, kept across steps: each stage's range
+    /// holds the payload its worker last shipped for that pass, so a
+    /// [`Message::ShardUnchanged`] reply leaves the range as it is.
+    fwd_buf: Vec<f32>,
+    bkwd_buf: Vec<f32>,
+    /// Empty unless recompute is configured.
+    recomp_buf: Vec<f32>,
 }
 
 impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
@@ -369,6 +376,7 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
                 .with_registry(Arc::clone(&registry))
                 .with_events(Arc::clone(&recorder) as Arc<dyn EventSource + Send + Sync>),
         );
+        let recomp_len = if cfg.recompute.is_some() { total } else { 0 };
         Ok(DistributedTrainer {
             model,
             cfg,
@@ -382,6 +390,9 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
             step: 0,
             diverged: false,
             flush_seq: 0,
+            fwd_buf: vec![0.0; total],
+            bkwd_buf: vec![0.0; total],
+            recomp_buf: vec![0.0; recomp_len],
         })
     }
 
@@ -431,18 +442,24 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
     }
 
     /// Fetches every stage's shard for one pass and assembles the full
-    /// parameter vector into `buf`.
+    /// parameter vector into `buf`. The request goes to every stage
+    /// before any reply is read, so the workers plan, copy and encode
+    /// concurrently. A [`Message::ShardUnchanged`] reply keeps the
+    /// stage's range of `buf`: it must hold the payload that worker last
+    /// shipped for `pass`, which the persistent per-pass buffers do.
     fn fetch_into(
-        &mut self,
+        links: &mut [WorkerLink],
+        partition: &StagePartition,
         buf: &mut [f32],
         step: u64,
         micro: u32,
         pass: PassKind,
     ) -> Result<(), CommsError> {
-        for s in 0..self.cfg.stages {
-            let (lo, hi) = self.partition.range(s);
-            let link = &mut self.links[s];
+        for link in links.iter_mut() {
             link.send(&Message::FetchShard { step, micro, pass })?;
+        }
+        for (s, link) in links.iter_mut().enumerate() {
+            let (lo, hi) = partition.range(s);
             match link.recv()? {
                 Message::Shard { step: st, micro: mi, pass: pa, data, .. }
                     if st == step && mi == micro && pa == pass =>
@@ -456,33 +473,36 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
                     }
                     buf[lo..hi].copy_from_slice(&data.into_dense());
                 }
-                other => return Err(self.links[s].protocol("matching Shard", &other)),
+                Message::ShardUnchanged { step: st, micro: mi, pass: pa, .. }
+                    if st == step && mi == micro && pa == pass && pass != PassKind::Latest => {}
+                other => return Err(link.protocol("matching Shard", &other)),
             }
         }
         Ok(())
     }
 
     /// Drains every worker's telemetry and merges it into the combined
-    /// trace (a streaming flush barrier).
+    /// trace (a streaming flush barrier). Every stage is asked before
+    /// any reply is read; replies merge in stage order.
     fn flush_telemetry(&mut self) -> Result<(), CommsError> {
         self.flush_seq += 1;
         let id = self.flush_seq;
-        for s in 0..self.cfg.stages {
-            let link = &mut self.links[s];
+        for link in &mut self.links {
             link.send(&Message::Flush { id })?;
-            let (offset, stage) = (link.offset_us, link.stage);
+        }
+        for (s, link) in self.links.iter_mut().enumerate() {
             match link.recv()? {
                 Message::Telemetry { jsonl, .. } => {
                     let events = events_from_jsonl_string(&jsonl).map_err(|e| {
                         CommsError::Protocol(format!("stage {s}: bad telemetry: {e}"))
                     })?;
-                    merge_worker_events(&mut self.merged, &events, stage, offset);
+                    merge_worker_events(&mut self.merged, &events, link.stage, link.offset_us);
                 }
-                other => return Err(self.links[s].protocol("Telemetry", &other)),
+                other => return Err(link.protocol("Telemetry", &other)),
             }
-            match self.links[s].recv()? {
+            match link.recv()? {
                 Message::FlushAck { id: got, .. } if got == id => {}
-                other => return Err(self.links[s].protocol("FlushAck", &other)),
+                other => return Err(link.protocol("FlushAck", &other)),
             }
         }
         Ok(())
@@ -518,30 +538,36 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
             });
         }
 
-        let mut fwd_buf = vec![0.0f32; total];
-        let mut bkwd_buf = vec![0.0f32; total];
         let mut grad = vec![0.0f32; total];
         let mut loss_acc = 0.0f32;
         let recompute_pass =
             self.cfg.recompute.is_some() && !sync_phase && self.cfg.method == Method::PipeMare;
 
+        let (links, partition) = (&mut self.links, &self.partition);
         for (n, batch) in micro.iter().enumerate() {
-            self.fetch_into(&mut fwd_buf, t as u64, n as u32, PassKind::Fwd)?;
+            let (step, mb) = (t as u64, n as u32);
+            Self::fetch_into(links, partition, &mut self.fwd_buf, step, mb, PassKind::Fwd)?;
             let (loss, cache) = if recompute_pass {
                 // Loss from the true forward; backward consumes the
                 // recompute-version activations (App. D), exactly like
                 // the in-process trainer's simulation.
-                let (loss, _) = self.model.forward_loss(&fwd_buf, batch);
-                let mut recomp_buf = vec![0.0f32; total];
-                self.fetch_into(&mut recomp_buf, t as u64, n as u32, PassKind::Recomp)?;
-                let (_, cache) = self.model.forward_loss(&recomp_buf, batch);
+                let (loss, _) = self.model.forward_loss(&self.fwd_buf, batch);
+                Self::fetch_into(
+                    links,
+                    partition,
+                    &mut self.recomp_buf,
+                    step,
+                    mb,
+                    PassKind::Recomp,
+                )?;
+                let (_, cache) = self.model.forward_loss(&self.recomp_buf, batch);
                 (loss, cache)
             } else {
-                self.model.forward_loss(&fwd_buf, batch)
+                self.model.forward_loss(&self.fwd_buf, batch)
             };
             loss_acc += micro_weights[n] * loss;
-            self.fetch_into(&mut bkwd_buf, t as u64, n as u32, PassKind::Bkwd)?;
-            let g = self.model.backward(&bkwd_buf, &cache);
+            Self::fetch_into(links, partition, &mut self.bkwd_buf, step, mb, PassKind::Bkwd)?;
+            let g = self.model.backward(&self.bkwd_buf, &cache);
             for (acc, &gi) in grad.iter_mut().zip(g.iter()) {
                 *acc += micro_weights[n] * gi;
             }
@@ -620,7 +646,8 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
     /// Gathers the latest committed full parameter vector.
     pub fn gather_params(&mut self) -> Result<Vec<f32>, CommsError> {
         let mut out = vec![0.0f32; self.partition.total_params()];
-        self.fetch_into(&mut out, self.step as u64, 0, PassKind::Latest)?;
+        let step = self.step as u64;
+        Self::fetch_into(&mut self.links, &self.partition, &mut out, step, 0, PassKind::Latest)?;
         Ok(out)
     }
 

@@ -19,8 +19,9 @@ use pipemare_tensor::StoragePrecision;
 /// [`Message::InferReject`]); v4 added causal trace ids on
 /// [`Message::Infer`] / [`Message::Shard`] / [`Message::GradShard`]
 /// and the live stats scrape pair ([`Message::StatsRequest`] /
-/// [`Message::StatsReply`]).
-pub const PROTOCOL_VERSION: u16 = 4;
+/// [`Message::StatsReply`]); v5 added [`Message::ShardUnchanged`],
+/// the conditional reply to a training-pass [`Message::FetchShard`].
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Which pass a shard fetch serves. Determines the weight-version and
 /// T2-correction math the worker applies before replying.
@@ -305,6 +306,20 @@ pub enum Message {
         /// Shard values (dense or sparse per the link's mode).
         data: TensorPayload,
     },
+    /// Worker → orchestrator: the requested training-pass shard is the
+    /// payload this link last shipped for `pass`, so the orchestrator's
+    /// copy from that [`Message::Shard`] is still exact. Never sent for
+    /// [`PassKind::Latest`].
+    ShardUnchanged {
+        /// Echoed step.
+        step: u64,
+        /// Echoed microbatch index.
+        micro: u32,
+        /// Echoed pass kind.
+        pass: PassKind,
+        /// Worker's stage id.
+        stage: u32,
+    },
     /// Orchestrator → worker: accumulated gradient for this shard plus
     /// the effective learning rate; `apply=false` stages the old weights
     /// unchanged (non-finite gradient path).
@@ -478,6 +493,7 @@ const TAG_INFER_RESULT: u8 = 18;
 const TAG_INFER_REJECT: u8 = 19;
 const TAG_STATS_REQUEST: u8 = 20;
 const TAG_STATS_REPLY: u8 = 21;
+const TAG_SHARD_UNCHANGED: u8 = 22;
 
 impl Message {
     /// Short name for diagnostics.
@@ -488,6 +504,7 @@ impl Message {
             Message::InitShard { .. } => "InitShard",
             Message::FetchShard { .. } => "FetchShard",
             Message::Shard { .. } => "Shard",
+            Message::ShardUnchanged { .. } => "ShardUnchanged",
             Message::GradShard { .. } => "GradShard",
             Message::StepAck { .. } => "StepAck",
             Message::Commit { .. } => "Commit",
@@ -541,6 +558,13 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
             w.put_u32(*stage);
             w.put_u64(*trace);
             data.encode(&mut w);
+        }
+        Message::ShardUnchanged { step, micro, pass, stage } => {
+            w.put_u8(TAG_SHARD_UNCHANGED);
+            w.put_u64(*step);
+            w.put_u32(*micro);
+            w.put_u8(pass.to_wire());
+            w.put_u32(*stage);
         }
         Message::GradShard { step, lr, apply, trace, data } => {
             w.put_u8(TAG_GRAD_SHARD);
@@ -663,6 +687,12 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, CodecError> {
             trace: r.get_u64()?,
             data: TensorPayload::decode(&mut r)?,
         },
+        TAG_SHARD_UNCHANGED => Message::ShardUnchanged {
+            step: r.get_u64()?,
+            micro: r.get_u32()?,
+            pass: PassKind::from_wire(r.get_u8()?)?,
+            stage: r.get_u32()?,
+        },
         TAG_GRAD_SHARD => Message::GradShard {
             step: r.get_u64()?,
             lr: r.get_f32()?,
@@ -758,6 +788,7 @@ mod tests {
                 trace: 3,
                 data: TensorPayload::from_dense(&[0.0, 1.0, 0.0, -2.0], SparseMode::DropZeros),
             },
+            Message::ShardUnchanged { step: 7, micro: 3, pass: PassKind::Bkwd, stage: 1 },
             Message::GradShard {
                 step: 7,
                 lr: 0.01,

@@ -33,6 +33,21 @@ pub struct ShardStage {
     staged: Option<(u64, Vec<f32>)>,
     /// Next step this shard expects (= number of committed steps).
     committed: u64,
+    /// Identity of the payload last shipped per training pass (`Fwd`,
+    /// `Bkwd`, `Recomp`), for [`ShardStage::fetch_if_changed`].
+    shipped: [Option<ShipKey>; 3],
+}
+
+/// Everything that determines a served payload's bits: the stored
+/// version (and whether it is held as bf16 — a commit demotes the
+/// previous latest) plus, for a T2-corrected pass, the gap and the δ it
+/// was extrapolated along.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct ShipKey {
+    version: usize,
+    bf16: bool,
+    /// `(gap bits, committed steps when δ was read)`.
+    correction: Option<(u64, u64)>,
 }
 
 impl ShardStage {
@@ -84,6 +99,7 @@ impl ShardStage {
             delta: vec![0.0; shard_len],
             staged: None,
             committed: 0,
+            shipped: [None; 3],
             cfg,
             clock,
             history,
@@ -190,44 +206,71 @@ impl ShardStage {
         }
     }
 
+    /// The stored `version`, extrapolated `gap` steps back along δ when
+    /// a T2 correction applies.
+    fn corrected(&self, version: usize, gap: Option<f64>) -> Vec<f32> {
+        let mut out = self.history.get(version).into_owned();
+        if let Some(gap) = gap {
+            for (b, &d) in out.iter_mut().zip(self.delta.iter()) {
+                *b -= gap as f32 * d;
+            }
+        }
+        out
+    }
+
     /// Serves the shard values for one pass of `(step, micro)`,
     /// applying the version selection and T2 corrections the in-process
     /// trainer would.
     pub fn fetch(&self, step: u64, micro: u32, pass: PassKind) -> Result<Vec<f32>, CommsError> {
         let (version, gap) = self.plan(step, micro, pass)?;
-        let mut out = self.history.get(version).into_owned();
-        if let Some(gap) = gap {
-            for (b, &d) in out.iter_mut().zip(self.delta.iter()) {
-                *b -= gap as f32 * d;
-            }
-        }
-        Ok(out)
+        Ok(self.corrected(version, gap))
     }
 
-    /// [`ShardStage::fetch`] as a wire payload. Uncorrected fetches of
-    /// bf16-stored versions ship the stored bits verbatim
-    /// ([`TensorPayload::DenseBf16`], half the bytes); widening on the
-    /// orchestrator side is exact, so the reply decodes to the identical
-    /// f32 vector [`ShardStage::fetch`] returns.
-    pub fn fetch_payload(
-        &self,
+    fn payload(&self, version: usize, gap: Option<f64>) -> TensorPayload {
+        if gap.is_none() {
+            if let Some(bits) = self.history.stored_bf16(version) {
+                return TensorPayload::DenseBf16(bits.to_vec());
+            }
+        }
+        TensorPayload::Dense(self.corrected(version, gap))
+    }
+
+    /// [`ShardStage::fetch`] as a wire payload, for a link that keeps
+    /// the last payload it received per training pass. Returns `None`
+    /// when the planned payload is the one this stage last shipped for
+    /// `pass` (the receiver's copy is still exact); otherwise the
+    /// payload, remembered as the pass's new last-shipped identity.
+    /// [`PassKind::Latest`] always ships and leaves the per-pass memory
+    /// alone.
+    ///
+    /// Uncorrected fetches of bf16-stored versions ship the stored bits
+    /// verbatim ([`TensorPayload::DenseBf16`], half the bytes); widening
+    /// on the orchestrator side is exact, so every payload decodes to
+    /// the identical f32 vector [`ShardStage::fetch`] returns.
+    pub fn fetch_if_changed(
+        &mut self,
         step: u64,
         micro: u32,
         pass: PassKind,
-    ) -> Result<TensorPayload, CommsError> {
+    ) -> Result<Option<TensorPayload>, CommsError> {
         let (version, gap) = self.plan(step, micro, pass)?;
-        if gap.is_none() {
-            if let Some(bits) = self.history.stored_bf16(version) {
-                return Ok(TensorPayload::DenseBf16(bits.to_vec()));
-            }
+        let slot = match pass {
+            PassKind::Fwd => 0,
+            PassKind::Bkwd => 1,
+            PassKind::Recomp => 2,
+            PassKind::Latest => return Ok(Some(self.payload(version, gap))),
+        };
+        let key = ShipKey {
+            version: self.history.resolve(version),
+            bf16: self.history.stored_bf16(version).is_some(),
+            // δ changes only at commit, so the commit count dates it.
+            correction: gap.map(|g| (g.to_bits(), self.committed)),
+        };
+        if self.shipped[slot] == Some(key) {
+            return Ok(None);
         }
-        let mut out = self.history.get(version).into_owned();
-        if let Some(gap) = gap {
-            for (b, &d) in out.iter_mut().zip(self.delta.iter()) {
-                *b -= gap as f32 * d;
-            }
-        }
-        Ok(TensorPayload::Dense(out))
+        self.shipped[slot] = Some(key);
+        Ok(Some(self.payload(version, gap)))
     }
 
     /// Runs the optimizer on this shard's slice of the minibatch
@@ -404,7 +447,7 @@ mod tests {
         st.apply_grad(0, 0.5, true, &[1.0; 4]).unwrap();
         st.commit(0, true).unwrap();
         // Latest is still the exact f32 master.
-        match st.fetch_payload(1, 0, PassKind::Latest).unwrap() {
+        match st.fetch_if_changed(1, 0, PassKind::Latest).unwrap().unwrap() {
             TensorPayload::Dense(v) => assert_eq!(v, st.latest()),
             other => panic!("latest must be dense f32, got {other:?}"),
         }
@@ -412,7 +455,7 @@ mod tests {
         // to bf16 at commit — the payload carries the raw bits, and
         // widening reproduces fetch() exactly.
         let fetched = st.fetch(1, 0, PassKind::Fwd).unwrap();
-        match st.fetch_payload(1, 0, PassKind::Fwd).unwrap() {
+        match st.fetch_if_changed(1, 0, PassKind::Fwd).unwrap().unwrap() {
             TensorPayload::DenseBf16(bits) => {
                 assert_eq!(pipemare_tensor::bf16::decode_slice(&bits), fetched);
             }
@@ -437,5 +480,112 @@ mod tests {
         // bkwd = latest − τ_fwd·δ (δ negative → correction pushes ahead).
         let expect = 0.5 - tau as f32 * expect_delta;
         assert!((bkwd[0] - expect).abs() < 1e-6, "{} vs {expect}", bkwd[0]);
+    }
+
+    /// Applies one conditional reply the way the orchestrator does (a
+    /// shipped payload replaces `held`, an unchanged reply keeps it),
+    /// checks `held` equals `fetch()` bit for bit, and returns whether
+    /// the payload shipped.
+    fn receive(
+        st: &mut ShardStage,
+        held: &mut Vec<f32>,
+        step: u64,
+        micro: u32,
+        pass: PassKind,
+    ) -> bool {
+        let shipped = match st.fetch_if_changed(step, micro, pass).unwrap() {
+            Some(payload) => {
+                *held = payload.into_dense();
+                true
+            }
+            None => false,
+        };
+        let want = st.fetch(step, micro, pass).unwrap();
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(held), bits(&want), "step {step} micro {micro} {pass:?}");
+        shipped
+    }
+
+    fn t2_cfg(stage: u32) -> StageConfig {
+        let mut c = cfg(stage, 0);
+        c.t2_decay = Some(0.5);
+        c.gamma = 0.5f64.powf(1.0 / PipelineClock::new(3, 2).nominal_tau_fwd(stage as usize));
+        c
+    }
+
+    #[test]
+    fn bf16_demotion_reships_a_version_first_shipped_as_f32() {
+        // Stage 2 of P = 3, N = 2 has delay_slots = 1: microbatch 1 reads
+        // the latest version (f32), and microbatch 0 of the next step
+        // reads the same version after the commit demoted it to bf16.
+        let mut c = cfg(2, 0);
+        c.weight_storage = pipemare_tensor::StoragePrecision::Bf16;
+        let mut st = ShardStage::new(c, vec![0.1, 0.2, 0.3, 0.4]).unwrap();
+        let mut held = Vec::new();
+        assert!(receive(&mut st, &mut held, 0, 0, PassKind::Fwd));
+        assert!(!receive(&mut st, &mut held, 0, 1, PassKind::Fwd), "same f32 version 0");
+        let f32_v0 = held.clone();
+        st.apply_grad(0, 0.5, true, &[1.0; 4]).unwrap();
+        st.commit(0, true).unwrap();
+        assert!(receive(&mut st, &mut held, 1, 0, PassKind::Fwd), "v0 demoted to bf16");
+        assert_ne!(held, f32_v0, "demotion rounds these values, so a stale copy would differ");
+        assert!(receive(&mut st, &mut held, 1, 1, PassKind::Fwd), "v1 is the f32 latest");
+        st.apply_grad(1, 0.5, true, &[1.0; 4]).unwrap();
+        st.commit(1, true).unwrap();
+        assert!(receive(&mut st, &mut held, 2, 0, PassKind::Fwd), "v1 demoted to bf16");
+    }
+
+    #[test]
+    fn t2_corrected_bkwd_reships_after_every_commit_including_a_revert() {
+        let mut st = ShardStage::new(t2_cfg(0), vec![1.0; 4]).unwrap();
+        let mut held = Vec::new();
+        assert!(receive(&mut st, &mut held, 0, 0, PassKind::Bkwd));
+        assert!(!receive(&mut st, &mut held, 0, 1, PassKind::Bkwd), "δ fixed within a step");
+        st.apply_grad(0, 0.5, true, &[1.0; 4]).unwrap();
+        st.commit(0, true).unwrap();
+        assert!(receive(&mut st, &mut held, 1, 0, PassKind::Bkwd));
+        assert!(!receive(&mut st, &mut held, 1, 1, PassKind::Bkwd));
+        let before_revert = held.clone();
+        // A revert keeps the weights but decays δ by γ: the corrected
+        // payload changes, so it must ship.
+        st.apply_grad(1, 1e30, true, &[1e30; 4]).unwrap();
+        st.commit(1, false).unwrap();
+        assert_eq!(st.latest(), &[0.5; 4], "revert restores the committed weights");
+        assert!(receive(&mut st, &mut held, 2, 0, PassKind::Bkwd));
+        assert_ne!(held, before_revert, "decayed δ moves the corrected payload");
+        assert!(!receive(&mut st, &mut held, 2, 1, PassKind::Bkwd));
+    }
+
+    #[test]
+    fn t2_corrected_recompute_reships_when_delta_moves_under_a_fixed_version() {
+        // Stage 0, 3 recompute slots: gap = τ_fwd − 3/2 = 1 > 0, and both
+        // (t=1, n=1) and (t=2, n=0) read version 0 — only δ differs.
+        let mut c = t2_cfg(0);
+        c.recomp_slots = Some(3);
+        c.recomp_t2 = true;
+        let mut st = ShardStage::new(c, vec![1.0; 4]).unwrap();
+        let mut held = Vec::new();
+        assert!(receive(&mut st, &mut held, 0, 0, PassKind::Recomp));
+        st.apply_grad(0, 0.5, true, &[1.0; 4]).unwrap();
+        st.commit(0, true).unwrap();
+        assert!(receive(&mut st, &mut held, 1, 0, PassKind::Recomp), "δ moved at commit");
+        assert!(!receive(&mut st, &mut held, 1, 1, PassKind::Recomp));
+        st.apply_grad(1, 0.5, true, &[1.0; 4]).unwrap();
+        st.commit(1, true).unwrap();
+        assert!(receive(&mut st, &mut held, 2, 0, PassKind::Recomp), "same version, new δ");
+    }
+
+    #[test]
+    fn latest_always_ships_in_full_and_leaves_pass_slots_alone() {
+        let mut st = ShardStage::new(cfg(0, 0), vec![1.0; 4]).unwrap();
+        let mut held = Vec::new();
+        assert!(receive(&mut st, &mut held, 0, 0, PassKind::Fwd));
+        for _ in 0..2 {
+            match st.fetch_if_changed(0, 0, PassKind::Latest).unwrap() {
+                Some(TensorPayload::Dense(v)) => assert_eq!(v, st.latest()),
+                other => panic!("latest must ship dense f32, got {other:?}"),
+            }
+        }
+        assert!(!receive(&mut st, &mut held, 0, 1, PassKind::Fwd), "Fwd slot survives Latest");
     }
 }

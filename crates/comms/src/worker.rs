@@ -222,9 +222,11 @@ fn run_training_loop(
         match rx.recv()? {
             Message::FetchShard { step, micro, pass } => {
                 let t0 = recorder.now_us();
-                // bf16-stored versions ship their stored bits verbatim
-                // (lossless, half the bytes); everything else goes dense.
-                let data = match stage.fetch_payload(step, micro, pass) {
+                // A training pass whose payload is the one this link last
+                // carried for it answers ShardUnchanged; otherwise bf16-
+                // stored versions ship their stored bits verbatim
+                // (lossless, half the bytes) and everything else goes dense.
+                let data = match stage.fetch_if_changed(step, micro, pass) {
                     Ok(d) => d,
                     Err(e) => return Err(fail(&mut tx, e)),
                 };
@@ -237,12 +239,19 @@ fn run_training_loop(
                 };
                 // The microbatch's causal trace id (0-based id, trace 0
                 // means "absent") — stamped on the local span and on the
-                // Shard frame so merged traces keep the chain.
+                // Shard frame so merged traces keep the chain. The span is
+                // recorded whether or not the payload ships, so traces
+                // keep one per pass.
                 let trace = micro as u64 + 1;
                 if let Some(kind) = kind {
                     recorder.record_span_traced(kind, stage_id, stage_id, micro, trace, t0, t1);
                 }
-                tx.send(&Message::Shard { step, micro, pass, stage: stage_id, trace, data })?;
+                tx.send(&match data {
+                    Some(data) => {
+                        Message::Shard { step, micro, pass, stage: stage_id, trace, data }
+                    }
+                    None => Message::ShardUnchanged { step, micro, pass, stage: stage_id },
+                })?;
             }
             Message::GradShard { step, lr, apply, trace, data } => {
                 let grad = data.into_dense();

@@ -53,7 +53,7 @@ fn arbitrary_message(variant: u8, rng: &mut StdRng) -> Message {
         2 => PassKind::Recomp,
         _ => PassKind::Latest,
     };
-    match variant % 22 {
+    match variant % 23 {
         0 => Message::Hello(StageConfig {
             protocol: PROTOCOL_VERSION,
             stage: rng.gen_range(0..8u32),
@@ -164,6 +164,12 @@ fn arbitrary_message(variant: u8, rng: &mut StdRng) -> Message {
             id: rng.gen_range(0..u64::MAX),
             json: format!("{{\"seq\":{}}}", rng.gen_range(0..1000)),
         },
+        21 => Message::ShardUnchanged {
+            step: rng.gen_range(0..1u64 << 48),
+            micro: rng.gen_range(0..256u32),
+            pass: [PassKind::Fwd, PassKind::Bkwd, PassKind::Recomp][rng.gen_range(0..3usize)],
+            stage: rng.gen_range(0..32u32),
+        },
         _ => Message::InferReject {
             id: rng.gen_range(0..u64::MAX),
             reason: match variant % 4 {
@@ -244,7 +250,7 @@ proptest! {
     }
 
     #[test]
-    fn every_message_roundtrips_field_identical(variant in 0u8..22, seed in 0u64..u64::MAX) {
+    fn every_message_roundtrips_field_identical(variant in 0u8..23, seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
         let msg = arbitrary_message(variant, &mut rng);
         let back = decode_message(&encode_message(&msg)).unwrap();
@@ -252,7 +258,7 @@ proptest! {
     }
 
     #[test]
-    fn truncated_messages_error_and_never_panic(variant in 0u8..22, seed in 0u64..u64::MAX) {
+    fn truncated_messages_error_and_never_panic(variant in 0u8..23, seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
         let msg = arbitrary_message(variant, &mut rng);
         let b = encode_message(&msg);
@@ -267,7 +273,7 @@ proptest! {
     }
 
     #[test]
-    fn corrupted_messages_never_panic(variant in 0u8..22, seed in 0u64..u64::MAX) {
+    fn corrupted_messages_never_panic(variant in 0u8..23, seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed);
         let msg = arbitrary_message(variant, &mut rng);
         let mut b = encode_message(&msg);

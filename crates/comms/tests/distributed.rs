@@ -4,16 +4,18 @@
 
 use std::collections::BTreeMap;
 use std::net::TcpListener;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use pipemare_comms::protocol::decode_message;
 use pipemare_comms::{
     channel, run_token_pipeline, spawn_loopback_workers, CommsError, DistConfig,
-    DistributedTrainer, Message, SparseMode, TcpTransport, Transport,
+    DistributedTrainer, FrameRx, FrameTx, Message, SparseMode, TcpTransport, Transport,
 };
-use pipemare_core::{train_distributed_loopback, PipelineTrainer, TrainConfig};
+use pipemare_core::{dist_config, train_distributed_loopback, PipelineTrainer, TrainConfig};
 use pipemare_nn::{ImageBatch, Mlp};
 use pipemare_optim::{ConstantLr, OptimizerKind, T1Rescheduler};
 use pipemare_pipeline::{run_threaded_pipeline_traced, Method};
@@ -158,6 +160,184 @@ fn bf16_weight_storage_is_bit_identical_across_process_boundary() {
     let (dist_params, dist_loss) = run_distributed(cfg(), SparseMode::Dense, 6);
     assert_eq!(ref_loss, dist_loss, "per-step losses must match bit for bit");
     assert_bits_equal(&ref_params, &dist_params, "pipemare + bf16 storage");
+}
+
+#[test]
+fn loopback_pipedream_is_bit_identical_to_in_process_trainer() {
+    // PipeDream's backward reads the uncorrected stashed forward version,
+    // so its Bkwd payloads repeat whenever that version does.
+    let cfg = || {
+        let mut c = TrainConfig::pipedream(
+            4,
+            4,
+            OptimizerKind::Momentum { beta: 0.9, weight_decay: 1e-4 },
+            Box::new(ConstantLr(0.05)),
+        );
+        c.warmup_steps = 1;
+        c
+    };
+    let (ref_params, ref_loss) = run_reference(cfg(), 6);
+    let (dist_params, dist_loss) = run_distributed(cfg(), SparseMode::Dense, 6);
+    assert_eq!(ref_loss, dist_loss, "per-step losses must match bit for bit");
+    assert_bits_equal(&ref_params, &dist_params, "pipedream");
+}
+
+#[test]
+fn diverging_run_reverts_bit_identically_to_in_process_trainer() {
+    // A learning rate far past the stability bound: the run diverges, the
+    // commit reverts every shard, and later steps are skipped — on both
+    // paths alike.
+    let cfg = || {
+        TrainConfig::pipemare(
+            4,
+            4,
+            OptimizerKind::Momentum { beta: 0.9, weight_decay: 0.0 },
+            Box::new(ConstantLr(1e3)),
+            T1Rescheduler::new(2),
+            0.9,
+        )
+    };
+    let m = model();
+    let mut batches = (0..8).map(|mb| blob_micro(SEED + 1 + mb as u64, 4, 6));
+    let (stats, dist_params, _) =
+        train_distributed_loopback(&m, cfg(), SEED, SparseMode::Dense, &mut batches)
+            .expect("distributed run");
+    let first = stats.iter().position(|s| s.diverged).expect("the run must diverge");
+    assert!(first > 0 && first < 7, "divergence at step {first} leaves steps on both sides");
+    let (ref_params, ref_loss) = run_reference(cfg(), 8);
+    let dist_loss: Vec<u32> = stats.iter().map(|s| s.loss.to_bits()).collect();
+    assert_eq!(ref_loss, dist_loss, "per-step losses must match bit for bit");
+    assert!(ref_params.iter().all(|x| x.is_finite()), "the revert keeps finite weights");
+    assert_bits_equal(&ref_params, &dist_params, "diverged + reverted");
+}
+
+/// Names every frame crossing one orchestrator-side link, per
+/// direction, so a test can count messages by kind.
+struct Tally {
+    inner: Box<dyn Transport>,
+    sent: Arc<Mutex<Vec<&'static str>>>,
+    recv: Arc<Mutex<Vec<&'static str>>>,
+}
+
+struct TallyTx(Box<dyn FrameTx>, Arc<Mutex<Vec<&'static str>>>);
+struct TallyRx(Box<dyn FrameRx>, Arc<Mutex<Vec<&'static str>>>);
+
+fn name_of(payload: &[u8]) -> &'static str {
+    decode_message(payload).map_or("invalid", |m| m.name())
+}
+
+impl Transport for Tally {
+    fn split(self: Box<Self>) -> Result<(Box<dyn FrameTx>, Box<dyn FrameRx>), CommsError> {
+        let (tx, rx) = self.inner.split()?;
+        Ok((Box::new(TallyTx(tx, self.sent)), Box::new(TallyRx(rx, self.recv))))
+    }
+}
+
+impl FrameTx for TallyTx {
+    fn send_frame(&mut self, payload: &[u8]) -> Result<(), CommsError> {
+        self.0.send_frame(payload)?;
+        self.1.lock().unwrap().push(name_of(payload));
+        Ok(())
+    }
+}
+
+impl FrameRx for TallyRx {
+    fn recv_frame(&mut self) -> Result<Vec<u8>, CommsError> {
+        let payload = self.0.recv_frame()?;
+        self.1.lock().unwrap().push(name_of(&payload));
+        Ok(payload)
+    }
+
+    fn set_timeout(&mut self, timeout: Option<Duration>) -> Result<(), CommsError> {
+        self.0.set_timeout(timeout)
+    }
+}
+
+/// Splits one link's message log into per-step runs, each ending with
+/// the step's closing message (`Flush` sent, `FlushAck` received).
+fn per_step<'a>(log: &'a [&'static str], closer: &str) -> Vec<&'a [&'static str]> {
+    let mut steps = Vec::new();
+    let mut start = 0;
+    for (i, &name) in log.iter().enumerate() {
+        if name == closer {
+            steps.push(&log[start..=i]);
+            start = i + 1;
+        }
+    }
+    steps
+}
+
+#[test]
+fn each_weight_version_crosses_the_wire_once_per_pass() {
+    // P=4, N=4 PipeMare T1+T2 with 2 sync warm-up steps: from step 3 on,
+    // every stage ships one new forward version and one new corrected
+    // backward payload per step; the other 6 of its 8 fetch replies are
+    // ShardUnchanged, so the message counts stay at 44 sent / 48
+    // received per step.
+    const STEPS: usize = 8;
+    let cfg = || {
+        let mut c = TrainConfig::pipemare(
+            4,
+            4,
+            OptimizerKind::Momentum { beta: 0.9, weight_decay: 0.0 },
+            Box::new(ConstantLr(0.05)),
+            T1Rescheduler::new(20),
+            0.9,
+        );
+        c.warmup_steps = 2;
+        c
+    };
+    let m = model();
+    let (transports, handles) = spawn_loopback_workers(4);
+    let mut logs = Vec::new();
+    let tallied: Vec<Box<dyn Transport>> = transports
+        .into_iter()
+        .map(|inner| {
+            let (sent, recv) = (Arc::default(), Arc::default());
+            logs.push((Arc::clone(&sent), Arc::clone(&recv)));
+            Box::new(Tally { inner, sent, recv }) as Box<dyn Transport>
+        })
+        .collect();
+    let dcfg = dist_config(cfg(), SparseMode::Dense, None).unwrap();
+    let mut trainer = DistributedTrainer::connect(&m, dcfg, SEED, tallied).unwrap();
+    let weights = [0.25f32; 4];
+    let mut dist_loss = Vec::new();
+    for mb in 0..STEPS {
+        let micro = blob_micro(SEED + 1 + mb as u64, 4, 6);
+        dist_loss.push(trainer.train_minibatch(&micro, &weights).unwrap().loss.to_bits());
+    }
+    let dist_params = trainer.gather_params().unwrap();
+    let report = trainer.shutdown().unwrap();
+    for h in handles {
+        h.join().expect("worker thread").expect("worker ok");
+    }
+    let (ref_params, ref_loss) = run_reference(cfg(), STEPS);
+    assert_eq!(ref_loss, dist_loss, "per-step losses must match bit for bit");
+    assert_bits_equal(&ref_params, &dist_params, "pipemare t1+t2, tallied");
+
+    let (mut total_sent, mut total_recv) = (0, 0);
+    let (mut step_sent, mut step_recv) = (vec![0; STEPS], vec![0; STEPS]);
+    for (stage, (sent, recv)) in logs.iter().enumerate() {
+        let (sent, recv) = (sent.lock().unwrap(), recv.lock().unwrap());
+        total_sent += sent.len() as u64;
+        total_recv += recv.len() as u64;
+        let (sent_steps, recv_steps) = (per_step(&sent, "Flush"), per_step(&recv, "FlushAck"));
+        assert_eq!((sent_steps.len(), recv_steps.len()), (STEPS, STEPS));
+        for t in 1..STEPS {
+            step_sent[t] += sent_steps[t].len();
+            step_recv[t] += recv_steps[t].len();
+            let count = |name| recv_steps[t].iter().filter(|&&n| n == name).count();
+            let (full, unchanged) = (count("Shard"), count("ShardUnchanged"));
+            assert_eq!(full + unchanged, 8, "stage {stage} step {t}: one reply per fetch");
+            if t >= 3 {
+                assert_eq!(full, 2, "stage {stage} step {t}: one Fwd and one Bkwd payload");
+            }
+        }
+    }
+    assert!(step_sent[1..].iter().all(|&n| n == 44), "sent per step: {step_sent:?}");
+    assert!(step_recv[1..].iter().all(|&n| n == 48), "received per step: {step_recv:?}");
+    // The tallies saw every frame the trainer's own counters did.
+    assert_eq!((total_sent, total_recv), (report.sent.msgs, report.recv.msgs));
 }
 
 #[test]

@@ -157,10 +157,16 @@ impl WeightHistory {
         }
     }
 
+    /// The version [`Self::get`] actually serves for `version`: the
+    /// request clamped to the retained window.
+    pub fn resolve(&self, version: usize) -> usize {
+        let oldest = self.versions.front().expect("history never empty").0;
+        version.clamp(oldest, self.latest_version())
+    }
+
     fn entry(&self, version: usize) -> &(usize, Stored) {
         let oldest = self.versions.front().expect("history never empty").0;
-        let v = version.clamp(oldest, self.latest_version());
-        &self.versions[v - oldest]
+        &self.versions[self.resolve(version) - oldest]
     }
 
     /// Number of retained versions.
