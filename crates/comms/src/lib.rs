@@ -19,9 +19,10 @@
 //!   configurable receive timeout) and in-process loopback
 //!   ([`transport::loopback_pair`]) implementations, plus wire-byte
 //!   accounting ([`transport::WireStats`]).
-//! * [`stage`]: [`stage::ShardStage`] — one stage's weight shard,
-//!   optimizer state, weight-version history and T2 δ buffer, serving
-//!   exactly the versions the in-process trainer would read.
+//! * [`stage`]: the wire side of a worker's
+//!   [`pipemare_pipeline::StageShard`] — the same per-stage state machine
+//!   (weight-version history, optimizer slice, T2 δ) the in-process
+//!   trainer drives, so both read exactly the same versions.
 //! * [`worker`]: [`worker::run_stage_worker`] — the message-driven
 //!   stage loop (training and token modes).
 //! * [`orchestrator`]: [`orchestrator::DistributedTrainer`] (bit-identical
@@ -45,11 +46,9 @@ pub use codec::{SparseMode, TensorPayload, MAX_FRAME};
 pub use error::{CodecError, CommsError};
 pub use orchestrator::{
     handshake_worker, run_token_pipeline, spawn_loopback_workers, token_stage_config, DistConfig,
-    DistRecompute, DistRunReport, DistStepStats, DistributedTrainer, TokenPipelineReport,
-    WorkerHandle, WorkerLink,
+    DistRunReport, DistributedTrainer, TokenPipelineReport, WorkerHandle, WorkerLink,
 };
 pub use protocol::{Message, PassKind, RejectReason, StageConfig, PROTOCOL_VERSION};
-pub use stage::ShardStage;
 pub use transport::{
     channel, loopback_pair, FrameRx, FrameTx, LoopbackTransport, Receiver, Sender, TcpTransport,
     Transport, WireStats,

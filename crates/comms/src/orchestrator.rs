@@ -5,12 +5,14 @@
 //! cannot deadlock. Two drivers live here:
 //!
 //! * [`DistributedTrainer`] — the distributed counterpart of
-//!   `pipemare_core::PipelineTrainer`. Model compute (forward/backward)
-//!   stays on the driver, exactly like the paper's App. C.4 simulation;
-//!   workers own their stage's weight shard, serve delayed/T2-corrected
-//!   versions of it, and run the optimizer. A two-phase stage/commit
-//!   step keeps all shards atomic under divergence. With pinned seeds
-//!   the final weights are bit-identical to the in-process trainer.
+//!   `pipemare_core::PipelineTrainer`, taking the same `TrainConfig`.
+//!   Model compute (forward/backward) stays on the driver, exactly like
+//!   the paper's App. C.4 simulation; each worker holds its stage's
+//!   `StageShard` — the state the in-process trainer drives in memory —
+//!   serving delayed/T2-corrected versions of it and running the
+//!   optimizer. A two-phase stage/commit step keeps all shards atomic
+//!   under divergence. With pinned seeds the final weights are
+//!   bit-identical to the in-process trainer.
 //! * [`run_token_pipeline`] — the distributed counterpart of
 //!   `run_threaded_pipeline_traced`: microbatch tokens hop between
 //!   workers through the hub, reproducing the latency pipeline (and its
@@ -28,132 +30,31 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pipemare_nn::TrainModel;
-use pipemare_optim::{clip_grad_norm, LrSchedule, OptimizerKind, T1Rescheduler};
-use pipemare_pipeline::{Method, PipelineClock, StagePartition};
+use pipemare_optim::clip_grad_norm;
+use pipemare_pipeline::{Method, StagePartition, StepStats, TrainConfig};
 use pipemare_telemetry::{
     events_from_jsonl_string, merge_worker_events, sort_events, EventSource, LiveStore,
     MetricsRegistry, Recorder, SpanKind, TraceEvent, TraceRecorder, NO_MICROBATCH,
 };
-use pipemare_tensor::StoragePrecision;
-use pipemare_theory::gamma_from_d;
 
 use crate::codec::{SparseMode, TensorPayload};
 use crate::error::CommsError;
 use crate::protocol::{Message, PassKind, StageConfig, PROTOCOL_VERSION};
 use crate::transport::{channel, Transport, WireStats};
 
-/// Recompute simulation settings for a distributed run (mirrors the
-/// core crate's `RecomputeCfg`, redeclared here to keep the dependency
-/// graph acyclic: core depends on comms, not the reverse).
-#[derive(Clone, Copy, Debug)]
-pub struct DistRecompute {
-    /// Number of gradient-checkpoint segments.
-    pub segments: usize,
-    /// Whether the T2-for-recompute correction is applied.
-    pub t2: bool,
-}
-
-impl DistRecompute {
-    /// The stage-group size implied by the segment count.
-    pub fn segment_size(&self, stages: usize) -> usize {
-        stages.div_ceil(self.segments.max(1)).max(1)
-    }
-}
-
-/// Configuration for a [`DistributedTrainer`] run.
+/// Configuration for a [`DistributedTrainer`] run: the training
+/// config an in-process `PipelineTrainer` takes, plus how the wire
+/// carries it.
 pub struct DistConfig {
-    /// Pipeline scheduling method.
-    pub method: Method,
-    /// Number of pipeline stages (= workers).
-    pub stages: usize,
-    /// Microbatches per minibatch.
-    pub n_micro: usize,
-    /// Optimizer update rule (run shard-locally on each worker).
-    pub optimizer: OptimizerKind,
-    /// Base learning-rate schedule (indexed by optimizer step).
-    pub schedule: Box<dyn LrSchedule>,
-    /// T1 learning-rate rescheduling (None disables).
-    pub t1: Option<T1Rescheduler>,
-    /// T2 discrepancy-correction decay `D` (None disables).
-    pub t2_decay: Option<f64>,
-    /// Synchronous (T3) warmup steps.
-    pub warmup_steps: usize,
-    /// Global gradient-norm clip, applied driver-side before sharding.
-    pub grad_clip: Option<f32>,
-    /// Recompute delay simulation (None disables).
-    pub recompute: Option<DistRecompute>,
-    /// Partition stages by equal element counts instead of weight units.
-    pub partition_by_elements: bool,
-    /// Storage precision of each worker's non-latest weight-history
-    /// versions ([`pipemare_tensor::StoragePrecision::Bf16`] halves both
-    /// the shard footprint and the delayed-fetch wire bytes).
-    pub weight_storage: StoragePrecision,
+    /// The training run itself. Hogwild mode is rejected by
+    /// [`DistributedTrainer::connect`].
+    pub train: TrainConfig,
     /// How gradients are encoded on the wire. [`SparseMode::Dense`] and
     /// [`SparseMode::DropZeros`] are bit-lossless; threshold/top-k trade
     /// fidelity for wire bytes.
     pub sparse_grads: SparseMode,
     /// Receive timeout on every worker link (None blocks forever).
     pub recv_timeout: Option<Duration>,
-}
-
-impl DistConfig {
-    /// A synchronous (GPipe) distributed baseline.
-    pub fn gpipe(
-        stages: usize,
-        n_micro: usize,
-        optimizer: OptimizerKind,
-        schedule: Box<dyn LrSchedule>,
-    ) -> Self {
-        DistConfig {
-            method: Method::GPipe,
-            stages,
-            n_micro,
-            optimizer,
-            schedule,
-            t1: None,
-            t2_decay: None,
-            warmup_steps: 0,
-            grad_clip: None,
-            recompute: None,
-            partition_by_elements: false,
-            weight_storage: StoragePrecision::F32,
-            sparse_grads: SparseMode::Dense,
-            recv_timeout: None,
-        }
-    }
-
-    /// A full PipeMare (T1 + T2) distributed configuration.
-    pub fn pipemare(
-        stages: usize,
-        n_micro: usize,
-        optimizer: OptimizerKind,
-        schedule: Box<dyn LrSchedule>,
-        t1: T1Rescheduler,
-        t2_decay: f64,
-    ) -> Self {
-        DistConfig {
-            method: Method::PipeMare,
-            t1: Some(t1),
-            t2_decay: Some(t2_decay),
-            ..DistConfig::gpipe(stages, n_micro, optimizer, schedule)
-        }
-    }
-}
-
-/// Per-step statistics from [`DistributedTrainer::train_minibatch`]
-/// (mirrors the core crate's `StepStats`).
-#[derive(Clone, Copy, Debug)]
-pub struct DistStepStats {
-    /// Step index this update corresponds to.
-    pub step: usize,
-    /// Microbatch-weighted training loss.
-    pub loss: f32,
-    /// ‖w‖₂ after the update (∞ once diverged).
-    pub param_norm: f32,
-    /// Base learning rate before T1 rescaling.
-    pub base_lr: f32,
-    /// Whether training has diverged.
-    pub diverged: bool,
 }
 
 /// Everything a finished distributed run hands back.
@@ -221,6 +122,21 @@ impl WorkerLink {
     fn protocol(&self, what: &str, got: &Message) -> CommsError {
         CommsError::Protocol(format!("stage {}: expected {what}, got {}", self.stage, got.name()))
     }
+
+    /// Receives the worker's telemetry batch and merges it into `merged`,
+    /// re-tracked onto this link's stage and shifted into driver time.
+    fn merge_telemetry(&mut self, merged: &mut Vec<TraceEvent>) -> Result<(), CommsError> {
+        match self.recv()? {
+            Message::Telemetry { jsonl, .. } => {
+                let events = events_from_jsonl_string(&jsonl).map_err(|e| {
+                    CommsError::Protocol(format!("stage {}: bad telemetry: {e}", self.stage))
+                })?;
+                merge_worker_events(merged, &events, self.stage, self.offset_us);
+                Ok(())
+            }
+            other => Err(self.protocol("Telemetry", &other)),
+        }
+    }
 }
 
 /// Performs the hello exchange on a fresh transport: sends the stage
@@ -261,55 +177,12 @@ pub fn handshake_worker(
     }
 }
 
-fn build_stage_config(
-    cfg: &DistConfig,
-    clock: &PipelineClock,
-    partition: &StagePartition,
-    param_len: usize,
-    s: usize,
-) -> StageConfig {
-    let (lo, hi) = partition.range(s);
-    let seg = cfg.recompute.map(|rc| rc.segment_size(cfg.stages));
-    // γ mirrors the in-process trainer: the delay gap is τ_fwd, widened
-    // to max(τ_fwd, τ_recomp) when the T2-for-recompute correction is on
-    // (App. D).
-    let gap = match cfg.method {
-        Method::PipeMare => {
-            let tau_fwd = clock.nominal_tau_fwd(s);
-            match (cfg.recompute, seg) {
-                (Some(rc), Some(seg)) if rc.t2 => tau_fwd.max(clock.nominal_tau_recomp(seg, s)),
-                _ => tau_fwd,
-            }
-        }
-        _ => 0.0,
-    };
-    let gamma = cfg.t2_decay.map_or(0.0, |d| gamma_from_d(d, gap));
-    StageConfig {
-        protocol: PROTOCOL_VERSION,
-        stage: s as u32,
-        stages: cfg.stages as u32,
-        n_micro: cfg.n_micro as u32,
-        method: cfg.method,
-        param_len: param_len as u64,
-        shard_lo: lo as u64,
-        shard_hi: hi as u64,
-        opt: cfg.optimizer,
-        t2_decay: cfg.t2_decay,
-        gamma,
-        recomp_slots: seg.map(|seg| clock.recomp_delay_slots(seg, s) as u32),
-        recomp_t2: cfg.recompute.is_some_and(|rc| rc.t2),
-        warmup_steps: cfg.warmup_steps as u64,
-        weight_storage: cfg.weight_storage,
-    }
-}
-
 /// The distributed pipeline trainer: one worker per stage over any
 /// transport, driven by this struct on the orchestrator side.
 pub struct DistributedTrainer<'m, M: TrainModel> {
     model: &'m M,
     cfg: DistConfig,
     partition: StagePartition,
-    clock: PipelineClock,
     links: Vec<WorkerLink>,
     recorder: Arc<TraceRecorder>,
     registry: Arc<MetricsRegistry>,
@@ -335,32 +208,40 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
     ///
     /// # Panics
     ///
-    /// Panics if `transports.len() != cfg.stages` or a dimension is zero.
+    /// Hogwild mode has no distributed counterpart (its stochastic delays
+    /// are sampled driver-side per step, which the shard protocol does
+    /// not carry) and is rejected with [`CommsError::Unsupported`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `transports.len() != cfg.train.stages` or a dimension
+    /// is zero.
     pub fn connect(
         model: &'m M,
         cfg: DistConfig,
         init_seed: u64,
         transports: Vec<Box<dyn Transport>>,
     ) -> Result<Self, CommsError> {
-        assert_eq!(transports.len(), cfg.stages, "one transport per stage");
-        assert!(cfg.stages > 0 && cfg.n_micro > 0);
+        let train = &cfg.train;
+        if train.mode.method().is_none() {
+            return Err(CommsError::Unsupported(
+                "Hogwild delays are not supported by the distributed trainer".to_string(),
+            ));
+        }
+        assert_eq!(transports.len(), train.stages, "one transport per stage");
+        assert!(train.stages > 0 && train.n_micro > 0);
         let units: Vec<(usize, usize)> =
             model.weight_units().iter().map(|u| (u.offset, u.len)).collect();
         let total = model.param_len();
-        let partition = if cfg.partition_by_elements {
-            StagePartition::by_elements(total, cfg.stages)
-        } else {
-            StagePartition::from_units(&units, total, cfg.stages)
-        };
-        let clock = PipelineClock::new(cfg.stages, cfg.n_micro);
+        let partition = train.partition(&units, total);
         let mut rng = StdRng::seed_from_u64(init_seed);
         let mut params = vec![0.0f32; total];
         model.init_params(&mut params, &mut rng);
-        let recorder = Arc::new(TraceRecorder::with_tracks(cfg.stages + 1));
+        let recorder = Arc::new(TraceRecorder::with_tracks(train.stages + 1));
         let registry = Arc::new(MetricsRegistry::new());
-        let mut links = Vec::with_capacity(cfg.stages);
+        let mut links = Vec::with_capacity(train.stages);
         for (s, transport) in transports.into_iter().enumerate() {
-            let sc = build_stage_config(&cfg, &clock, &partition, total, s);
+            let sc = crate::stage::stage_config(&train.shard_spec(&partition, s));
             let mut link = handshake_worker(transport, sc, cfg.recv_timeout, &recorder)?;
             // Mirror this link's wire counters into live gauges so a
             // stats scrape sees per-stage traffic without touching the
@@ -372,16 +253,15 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
             links.push(link);
         }
         let live = Arc::new(
-            LiveStore::new("orchestrator", cfg.stages)
+            LiveStore::new("orchestrator", train.stages)
                 .with_registry(Arc::clone(&registry))
                 .with_events(Arc::clone(&recorder) as Arc<dyn EventSource + Send + Sync>),
         );
-        let recomp_len = if cfg.recompute.is_some() { total } else { 0 };
+        let recomp_len = if train.recompute.is_some() { total } else { 0 };
         Ok(DistributedTrainer {
             model,
             cfg,
             partition,
-            clock,
             links,
             recorder,
             registry,
@@ -434,13 +314,6 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
         &self.partition
     }
 
-    fn t1_scale(&self, s: usize, t_async: usize, sync_phase: bool) -> f32 {
-        match (&self.cfg.t1, sync_phase, self.cfg.method) {
-            (Some(t1), false, Method::PipeMare) => t1.scale(t_async, self.clock.nominal_tau_fwd(s)),
-            _ => 1.0,
-        }
-    }
-
     /// Fetches every stage's shard for one pass and assembles the full
     /// parameter vector into `buf`. The request goes to every stage
     /// before any reply is read, so the workers plan, copy and encode
@@ -490,16 +363,8 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
         for link in &mut self.links {
             link.send(&Message::Flush { id })?;
         }
-        for (s, link) in self.links.iter_mut().enumerate() {
-            match link.recv()? {
-                Message::Telemetry { jsonl, .. } => {
-                    let events = events_from_jsonl_string(&jsonl).map_err(|e| {
-                        CommsError::Protocol(format!("stage {s}: bad telemetry: {e}"))
-                    })?;
-                    merge_worker_events(&mut self.merged, &events, link.stage, link.offset_us);
-                }
-                other => return Err(link.protocol("Telemetry", &other)),
-            }
+        for link in &mut self.links {
+            link.merge_telemetry(&mut self.merged)?;
             match link.recv()? {
                 Message::FlushAck { id: got, .. } if got == id => {}
                 other => return Err(link.protocol("FlushAck", &other)),
@@ -518,18 +383,18 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
         &mut self,
         micro: &[M::Batch],
         micro_weights: &[f32],
-    ) -> Result<DistStepStats, CommsError> {
-        assert_eq!(micro.len(), self.cfg.n_micro, "microbatch count mismatch");
+    ) -> Result<StepStats, CommsError> {
+        let train = &self.cfg.train;
+        assert_eq!(micro.len(), train.n_micro, "microbatch count mismatch");
         assert_eq!(micro.len(), micro_weights.len());
         let t = self.step;
-        let sync_phase = t < self.cfg.warmup_steps;
         let total = self.partition.total_params();
-        let base_lr = self.cfg.schedule.lr(t);
+        let base_lr = train.schedule.lr(t);
         let span_t0 = self.recorder.now_us();
 
         if self.diverged {
             self.step += 1;
-            return Ok(DistStepStats {
+            return Ok(StepStats {
                 step: t,
                 loss: f32::NAN,
                 param_norm: f32::INFINITY,
@@ -540,8 +405,7 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
 
         let mut grad = vec![0.0f32; total];
         let mut loss_acc = 0.0f32;
-        let recompute_pass =
-            self.cfg.recompute.is_some() && !sync_phase && self.cfg.method == Method::PipeMare;
+        let recompute_pass = train.recomputes(t);
 
         let (links, partition) = (&mut self.links, &self.partition);
         for (n, batch) in micro.iter().enumerate() {
@@ -573,16 +437,16 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
             }
         }
 
-        if let Some(clip) = self.cfg.grad_clip {
+        if let Some(clip) = self.cfg.train.grad_clip {
             clip_grad_norm(&mut grad, clip);
         }
         let grad_finite = grad.iter().all(|g| g.is_finite());
-        let t_async = t.saturating_sub(self.cfg.warmup_steps);
+        let stages = self.cfg.train.stages;
 
         // Phase 1: ship gradient shards; workers stage the update.
-        for s in 0..self.cfg.stages {
+        for s in 0..stages {
             let (lo, hi) = self.partition.range(s);
-            let lr = base_lr * self.t1_scale(s, t_async, sync_phase);
+            let lr = base_lr * self.cfg.train.t1_scale(s, t);
             let data = TensorPayload::from_dense(&grad[lo..hi], self.cfg.sparse_grads);
             self.links[s].send(&Message::GradShard {
                 step: t as u64,
@@ -596,7 +460,7 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
             })?;
         }
         let mut finite = grad_finite;
-        for s in 0..self.cfg.stages {
+        for s in 0..stages {
             match self.links[s].recv()? {
                 Message::StepAck { step, finite: f, .. } if step == t as u64 => {
                     self.links[s].last_acked = Some(step);
@@ -612,10 +476,10 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
             self.diverged = true;
         }
         let mut sq_norm = 0.0f64;
-        for s in 0..self.cfg.stages {
+        for s in 0..stages {
             self.links[s].send(&Message::Commit { step: t as u64, keep })?;
         }
-        for s in 0..self.cfg.stages {
+        for s in 0..stages {
             match self.links[s].recv()? {
                 Message::CommitAck { step, sq_norm: sq, .. } if step == t as u64 => {
                     sq_norm += sq;
@@ -626,7 +490,7 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
         self.step += 1;
         self.recorder.record_span_traced(
             SpanKind::Step,
-            self.cfg.stages as u32,
+            stages as u32,
             0,
             t as u32,
             t as u64 + 1,
@@ -634,7 +498,7 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
             self.recorder.now_us(),
         );
         self.flush_telemetry()?;
-        Ok(DistStepStats {
+        Ok(StepStats {
             step: t,
             loss: loss_acc,
             param_norm: sq_norm.sqrt() as f32,
@@ -654,24 +518,15 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
     /// Shuts every worker down, collects their final telemetry, and
     /// returns the merged run report.
     pub fn shutdown(mut self) -> Result<DistRunReport, CommsError> {
-        let mut worker_steps = Vec::with_capacity(self.cfg.stages);
-        for s in 0..self.cfg.stages {
-            self.links[s].send(&Message::Shutdown)?;
+        let mut worker_steps = Vec::with_capacity(self.links.len());
+        for link in &mut self.links {
+            link.send(&Message::Shutdown)?;
         }
-        for s in 0..self.cfg.stages {
-            let (offset, stage) = (self.links[s].offset_us, self.links[s].stage);
-            match self.links[s].recv()? {
-                Message::Telemetry { jsonl, .. } => {
-                    let events = events_from_jsonl_string(&jsonl).map_err(|e| {
-                        CommsError::Protocol(format!("stage {s}: bad telemetry: {e}"))
-                    })?;
-                    merge_worker_events(&mut self.merged, &events, stage, offset);
-                }
-                other => return Err(self.links[s].protocol("Telemetry", &other)),
-            }
-            match self.links[s].recv()? {
+        for link in &mut self.links {
+            link.merge_telemetry(&mut self.merged)?;
+            match link.recv()? {
                 Message::ShutdownAck { last_step, .. } => worker_steps.push(last_step),
-                other => return Err(self.links[s].protocol("ShutdownAck", &other)),
+                other => return Err(link.protocol("ShutdownAck", &other)),
             }
         }
         let mut events = self.merged;
@@ -738,23 +593,7 @@ pub struct TokenPipelineReport {
 /// (token mode carries no weights; the shard fields are placeholders
 /// that still pass handshake validation).
 pub fn token_stage_config(method: Method, stages: usize, n_micro: usize, s: usize) -> StageConfig {
-    StageConfig {
-        protocol: PROTOCOL_VERSION,
-        stage: s as u32,
-        stages: stages as u32,
-        n_micro: n_micro as u32,
-        method,
-        param_len: stages as u64,
-        shard_lo: s as u64,
-        shard_hi: s as u64 + 1,
-        opt: OptimizerKind::Sgd { weight_decay: 0.0 },
-        t2_decay: None,
-        gamma: 0.0,
-        recomp_slots: None,
-        recomp_t2: false,
-        warmup_steps: 0,
-        weight_storage: StoragePrecision::F32,
-    }
+    crate::stage::host_stage_config(method, (s, stages), n_micro, (s, s + 1), stages)
 }
 
 /// Drives `minibatches × n_micro` microbatch tokens through `stages`

@@ -23,38 +23,26 @@ use pipemare_tensor::StoragePrecision;
 /// the conditional reply to a training-pass [`Message::FetchShard`].
 pub const PROTOCOL_VERSION: u16 = 5;
 
-/// Which pass a shard fetch serves. Determines the weight-version and
-/// T2-correction math the worker applies before replying.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PassKind {
-    /// Forward pass: delayed version per the pipeline clock.
-    Fwd,
-    /// Backward pass: bkwd version plus T2 discrepancy correction.
-    Bkwd,
-    /// Recompute replay: recompute-slot version plus its T2 term.
-    Recomp,
-    /// Latest committed weights, uncorrected (final gather).
-    Latest,
+/// Which pass a shard fetch serves — the shard's own pass type, so a
+/// fetch names exactly the read [`pipemare_pipeline::StageShard`] plans.
+pub use pipemare_pipeline::PassKind;
+
+fn pass_to_wire(pass: PassKind) -> u8 {
+    match pass {
+        PassKind::Fwd => 0,
+        PassKind::Bkwd => 1,
+        PassKind::Recomp => 2,
+        PassKind::Latest => 3,
+    }
 }
 
-impl PassKind {
-    fn to_wire(self) -> u8 {
-        match self {
-            PassKind::Fwd => 0,
-            PassKind::Bkwd => 1,
-            PassKind::Recomp => 2,
-            PassKind::Latest => 3,
-        }
-    }
-
-    fn from_wire(b: u8) -> Result<Self, CodecError> {
-        match b {
-            0 => Ok(PassKind::Fwd),
-            1 => Ok(PassKind::Bkwd),
-            2 => Ok(PassKind::Recomp),
-            3 => Ok(PassKind::Latest),
-            t => Err(CodecError::BadTag(t)),
-        }
+fn pass_from_wire(b: u8) -> Result<PassKind, CodecError> {
+    match b {
+        0 => Ok(PassKind::Fwd),
+        1 => Ok(PassKind::Bkwd),
+        2 => Ok(PassKind::Recomp),
+        3 => Ok(PassKind::Latest),
+        t => Err(CodecError::BadTag(t)),
     }
 }
 
@@ -548,13 +536,13 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
             w.put_u8(TAG_FETCH_SHARD);
             w.put_u64(*step);
             w.put_u32(*micro);
-            w.put_u8(pass.to_wire());
+            w.put_u8(pass_to_wire(*pass));
         }
         Message::Shard { step, micro, pass, stage, trace, data } => {
             w.put_u8(TAG_SHARD);
             w.put_u64(*step);
             w.put_u32(*micro);
-            w.put_u8(pass.to_wire());
+            w.put_u8(pass_to_wire(*pass));
             w.put_u32(*stage);
             w.put_u64(*trace);
             data.encode(&mut w);
@@ -563,7 +551,7 @@ pub fn encode_message(msg: &Message) -> Vec<u8> {
             w.put_u8(TAG_SHARD_UNCHANGED);
             w.put_u64(*step);
             w.put_u32(*micro);
-            w.put_u8(pass.to_wire());
+            w.put_u8(pass_to_wire(*pass));
             w.put_u32(*stage);
         }
         Message::GradShard { step, lr, apply, trace, data } => {
@@ -677,12 +665,12 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, CodecError> {
         TAG_FETCH_SHARD => Message::FetchShard {
             step: r.get_u64()?,
             micro: r.get_u32()?,
-            pass: PassKind::from_wire(r.get_u8()?)?,
+            pass: pass_from_wire(r.get_u8()?)?,
         },
         TAG_SHARD => Message::Shard {
             step: r.get_u64()?,
             micro: r.get_u32()?,
-            pass: PassKind::from_wire(r.get_u8()?)?,
+            pass: pass_from_wire(r.get_u8()?)?,
             stage: r.get_u32()?,
             trace: r.get_u64()?,
             data: TensorPayload::decode(&mut r)?,
@@ -690,7 +678,7 @@ pub fn decode_message(payload: &[u8]) -> Result<Message, CodecError> {
         TAG_SHARD_UNCHANGED => Message::ShardUnchanged {
             step: r.get_u64()?,
             micro: r.get_u32()?,
-            pass: PassKind::from_wire(r.get_u8()?)?,
+            pass: pass_from_wire(r.get_u8()?)?,
             stage: r.get_u32()?,
         },
         TAG_GRAD_SHARD => Message::GradShard {

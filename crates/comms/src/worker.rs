@@ -6,7 +6,7 @@
 //! stage until the orchestrator says [`Message::Shutdown`]. Two modes:
 //!
 //! * **Training** (after [`Message::InitShard`]): the worker owns a
-//!   [`ShardStage`] and answers shard fetches, gradient applications and
+//!   [`StageShard`] and answers shard fetches, gradient applications and
 //!   commits — the distributed half of the App. C.4 simulation, where
 //!   model compute stays on the driver and workers serve versioned
 //!   weight shards.
@@ -23,7 +23,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use pipemare_pipeline::{FwdOutcome, StageEvent, StageFlow};
+use pipemare_pipeline::{FwdOutcome, StageEvent, StageFlow, StageShard};
 use pipemare_telemetry::{
     default_rules, events_to_jsonl_string, AlertEngine, EventSource, JournalConfig, JournalWriter,
     LiveStore, MetricsRegistry, Recorder, SpanKind, StatsEndpoint, StoreTicker, TraceRecorder,
@@ -32,7 +32,7 @@ use pipemare_telemetry::{
 
 use crate::error::CommsError;
 use crate::protocol::{Message, PassKind, PROTOCOL_VERSION};
-use crate::stage::ShardStage;
+use crate::stage;
 use crate::transport::{Receiver, Sender, WireStats};
 
 /// What a finished worker did, for logs and tests.
@@ -117,14 +117,17 @@ pub fn run_stage_worker_opts(
             ))
         }
     };
-    if let Err(e) = ShardStage::validate(&cfg) {
+    if let Err(e) = stage::validate(&cfg) {
         return Err(fail(&mut tx, e));
     }
     let stage_id = cfg.stage;
     // The recorder's origin is the worker's time zero; the HelloAck clock
     // sample below is on the same clock, so the orchestrator's offset
-    // estimate maps every recorded event into driver time.
-    let recorder = Arc::new(TraceRecorder::with_tracks(cfg.stages as usize + 1));
+    // estimate maps every recorded event into driver time. A worker
+    // writes two tracks (its stage and the alert track), so the default
+    // shard count serves it; sizing by the handshake's stage count would
+    // let a malformed Hello reserve memory for billions of tracks.
+    let recorder = Arc::new(TraceRecorder::new());
     let registry = Arc::new(MetricsRegistry::new());
     tx.bind_gauges(&registry, "wire.orchestrator");
     rx.bind_gauges(&registry, "wire.orchestrator");
@@ -186,11 +189,11 @@ pub fn run_stage_worker_opts(
     // --- Mode dispatch ---------------------------------------------------
     match rx.recv()? {
         Message::InitShard { params } => {
-            let stage = match ShardStage::new(cfg, params) {
+            let shard = match StageShard::new(stage::shard_spec(&cfg), params) {
                 Ok(s) => s,
-                Err(e) => return Err(fail(&mut tx, e)),
+                Err(e) => return Err(fail(&mut tx, e.into())),
             };
-            run_training_loop(stage, &recorder, &store, tx, rx)
+            run_training_loop(shard, &recorder, &store, tx, rx)
         }
         Message::TokenMode { total, is_last, work_us } => {
             run_token_loop(stage_id, total, is_last, work_us, &recorder, &store, tx, rx)
@@ -211,13 +214,14 @@ fn answer_stats(store: &LiveStore, id: u64, tx: &mut Sender) -> Result<(), Comms
 }
 
 fn run_training_loop(
-    mut stage: ShardStage,
+    mut shard: StageShard,
     recorder: &TraceRecorder,
     store: &LiveStore,
     mut tx: Sender,
     mut rx: Receiver,
 ) -> Result<StageWorkerReport, CommsError> {
-    let stage_id = stage.stage();
+    let stage_id = shard.spec().stage as u32;
+    let sq_norm = |w: &[f32]| w.iter().map(|&x| x as f64 * x as f64).sum::<f64>();
     loop {
         match rx.recv()? {
             Message::FetchShard { step, micro, pass } => {
@@ -226,7 +230,7 @@ fn run_training_loop(
                 // carried for it answers ShardUnchanged; otherwise bf16-
                 // stored versions ship their stored bits verbatim
                 // (lossless, half the bytes) and everything else goes dense.
-                let data = match stage.fetch_if_changed(step, micro, pass) {
+                let data = match stage::fetch_if_changed(&mut shard, step, micro, pass) {
                     Ok(d) => d,
                     Err(e) => return Err(fail(&mut tx, e)),
                 };
@@ -256,10 +260,11 @@ fn run_training_loop(
             Message::GradShard { step, lr, apply, trace, data } => {
                 let grad = data.into_dense();
                 let t0 = recorder.now_us();
-                let (sq_norm, finite) = match stage.apply_grad(step, lr, apply, &grad) {
-                    Ok(r) => r,
-                    Err(e) => return Err(fail(&mut tx, e)),
+                let finite = match shard.apply_grad(step as usize, lr, apply, &grad) {
+                    Ok(f) => f,
+                    Err(e) => return Err(fail(&mut tx, e.into())),
                 };
+                let sq_norm = sq_norm(shard.staged().expect("just staged"));
                 recorder.record_span_traced(
                     SpanKind::Step,
                     stage_id,
@@ -273,25 +278,25 @@ fn run_training_loop(
             }
             Message::StatsRequest { id } => answer_stats(store, id, &mut tx)?,
             Message::Commit { step, keep } => {
-                let sq_norm = match stage.commit(step, keep) {
-                    Ok(n) => n,
-                    Err(e) => return Err(fail(&mut tx, e)),
-                };
+                if let Err(e) = shard.commit(step as usize, keep) {
+                    return Err(fail(&mut tx, e.into()));
+                }
+                let sq_norm = sq_norm(shard.latest());
                 tx.send(&Message::CommitAck { step, stage: stage_id, sq_norm })?;
             }
             Message::Flush { id } => {
                 tx.send(&telemetry_batch(recorder, stage_id))?;
-                tx.send(&Message::FlushAck { id, last_step: stage.committed_steps() })?;
+                tx.send(&Message::FlushAck { id, last_step: shard.committed_steps() as u64 })?;
             }
             Message::Shutdown => {
                 tx.send(&telemetry_batch(recorder, stage_id))?;
                 tx.send(&Message::ShutdownAck {
                     stage: stage_id,
-                    last_step: stage.committed_steps(),
+                    last_step: shard.committed_steps() as u64,
                 })?;
                 return Ok(StageWorkerReport {
                     stage: stage_id,
-                    committed_steps: stage.committed_steps(),
+                    committed_steps: shard.committed_steps() as u64,
                     sent: tx.stats(),
                     recv: rx.stats(),
                 });

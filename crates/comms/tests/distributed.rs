@@ -12,13 +12,15 @@ use rand::{Rng, SeedableRng};
 
 use pipemare_comms::protocol::decode_message;
 use pipemare_comms::{
-    channel, run_token_pipeline, spawn_loopback_workers, CommsError, DistConfig,
-    DistributedTrainer, FrameRx, FrameTx, Message, SparseMode, TcpTransport, Transport,
+    channel, run_token_pipeline, spawn_loopback_workers, CommsError, DistributedTrainer, FrameRx,
+    FrameTx, Message, PassKind, SparseMode, TcpTransport, Transport,
 };
-use pipemare_core::{dist_config, train_distributed_loopback, PipelineTrainer, TrainConfig};
+use pipemare_core::{
+    dist_config, train_distributed_loopback, PipelineTrainer, TrainConfig, TrainMode,
+};
 use pipemare_nn::{ImageBatch, Mlp};
 use pipemare_optim::{ConstantLr, OptimizerKind, T1Rescheduler};
-use pipemare_pipeline::{run_threaded_pipeline_traced, Method};
+use pipemare_pipeline::{run_threaded_pipeline_traced, HogwildDelays, Method};
 use pipemare_telemetry::TraceRecorder;
 use pipemare_tensor::Tensor;
 
@@ -362,13 +364,13 @@ fn connect_one_stage(
     recv_timeout: Option<Duration>,
 ) -> Result<Vec<f32>, CommsError> {
     let m = model();
-    let mut cfg = DistConfig::gpipe(
+    let train = TrainConfig::gpipe(
         1,
         2,
         OptimizerKind::Sgd { weight_decay: 0.0 },
         Box::new(ConstantLr(0.05)),
     );
-    cfg.recv_timeout = recv_timeout;
+    let cfg = dist_config(train, SparseMode::Dense, recv_timeout)?;
     let mut trainer = DistributedTrainer::connect(&m, cfg, SEED, transports)?;
     let micro = blob_micro(SEED, 2, 4);
     trainer.train_minibatch(&micro, &[0.5, 0.5])?;
@@ -480,6 +482,52 @@ fn handshake_rejects_version_and_shape_mismatches() {
     drop((tx, rx, tx2, rx2));
     for h in handles {
         assert!(h.join().expect("worker thread").is_err(), "workers must report the failure");
+    }
+}
+
+#[test]
+fn huge_stage_count_in_the_handshake_does_not_abort_the_worker() {
+    // A Hello claiming u32::MAX stages passes validation (stage 0, one
+    // parameter); the shard's weight window is sized from the stage
+    // count, so reserving it up front used to abort the process at
+    // InitShard. Now the worker serves the shard and shuts down cleanly.
+    let (transports, handles) = spawn_loopback_workers(1);
+    let (mut tx, mut rx) = channel(transports.into_iter().next().unwrap()).unwrap();
+    let mut huge = pipemare_comms::orchestrator::token_stage_config(Method::PipeMare, 1, 1, 0);
+    huge.stages = u32::MAX;
+    tx.send(&Message::Hello(huge)).unwrap();
+    assert!(matches!(rx.recv(), Ok(Message::HelloAck { .. })));
+    tx.send(&Message::InitShard { params: vec![0.25] }).unwrap();
+    tx.send(&Message::FetchShard { step: 0, micro: 0, pass: PassKind::Fwd }).unwrap();
+    match rx.recv() {
+        Ok(Message::Shard { data, .. }) => assert_eq!(data.into_dense(), vec![0.25]),
+        other => panic!("expected the initial shard, got {other:?}"),
+    }
+    tx.send(&Message::Shutdown).unwrap();
+    assert!(matches!(rx.recv(), Ok(Message::Telemetry { .. })));
+    assert!(matches!(rx.recv(), Ok(Message::ShutdownAck { last_step: 0, .. })));
+    for h in handles {
+        h.join().expect("worker thread").expect("worker ok");
+    }
+}
+
+#[test]
+fn connect_rejects_hogwild_before_any_handshake() {
+    let mut cfg = TrainConfig::gpipe(
+        2,
+        2,
+        OptimizerKind::Sgd { weight_decay: 0.0 },
+        Box::new(ConstantLr(0.05)),
+    );
+    cfg.mode = TrainMode::Hogwild(HogwildDelays::from_pipeline_profile(2, 2));
+    let (a, _) = pipemare_comms::loopback_pair();
+    let (b, _) = pipemare_comms::loopback_pair();
+    let transports: Vec<Box<dyn Transport>> = vec![Box::new(a), Box::new(b)];
+    let dcfg = dist_config(cfg, SparseMode::Dense, None).unwrap();
+    match DistributedTrainer::connect(&model(), dcfg, SEED, transports) {
+        Err(CommsError::Unsupported(what)) => assert!(what.contains("Hogwild"), "{what}"),
+        Err(other) => panic!("expected Unsupported, got {other}"),
+        Ok(_) => panic!("Hogwild must be rejected"),
     }
 }
 

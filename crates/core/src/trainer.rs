@@ -4,10 +4,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use pipemare_nn::TrainModel;
-use pipemare_optim::{clip_grad_norm, Optimizer};
-use pipemare_pipeline::{Method, PipelineClock, StagePartition, WeightHistory};
-use pipemare_theory::gamma_from_d;
+use pipemare_optim::clip_grad_norm;
+use pipemare_pipeline::{PassKind, PipelineClock, StagePartition, StageShard};
 
+use std::cell::OnceCell;
 use std::sync::Arc;
 
 use pipemare_telemetry::{
@@ -39,25 +39,31 @@ pub struct StageInfo {
 
 /// Trains a [`TrainModel`] under pipeline-parallel delay semantics.
 ///
-/// The trainer owns the weight-version history and, per microbatch,
-/// assembles the forward parameter vector from each stage's delayed
-/// version, runs the model's forward pass on it, assembles the (possibly
-/// T2-corrected) backward parameter vector, and accumulates the
-/// two-argument gradient `∇f(u_fwd, u_bkwd)` — exactly the simulation
-/// strategy the paper describes in App. C.4.
+/// The trainer drives one in-memory [`StageShard`] per stage — the same
+/// per-stage state machine a distributed stage worker holds. Per
+/// microbatch it reads each stage's (delayed, possibly T2-corrected)
+/// forward and backward weights from its shard, runs the model's forward
+/// and backward passes on them, and accumulates the two-argument
+/// gradient `∇f(u_fwd, u_bkwd)` — exactly the simulation strategy the
+/// paper describes in App. C.4. It then stages the update on every shard
+/// and commits it, or reverts it everywhere when any weight went
+/// non-finite.
 pub struct PipelineTrainer<'m, M: TrainModel> {
     model: &'m M,
     cfg: TrainConfig,
     partition: StagePartition,
     clock: PipelineClock,
-    history: WeightHistory,
-    opt: Optimizer,
-    /// T2 velocity buffer δ (one entry per parameter).
-    delta: Vec<f32>,
-    /// Per-stage T2 decay γ_i = D^{1/(τ_fwd,i − τ_bkwd,i)}.
-    gammas: Vec<f64>,
-    /// Per-stage recompute delay slots (when recompute is simulated).
-    recomp_slots: Vec<usize>,
+    shards: Vec<StageShard>,
+    /// The latest committed weights as one vector, gathered from the
+    /// shards on the first [`PipelineTrainer::params`] call after a step.
+    latest: OnceCell<Vec<f32>>,
+    /// Per-pass read buffers, kept across steps: each stage's range holds
+    /// the values its shard last delivered for that pass, so a read the
+    /// shard reports unchanged costs no copy.
+    fwd_buf: Vec<f32>,
+    bkwd_buf: Vec<f32>,
+    /// Empty unless recompute is configured.
+    recomp_buf: Vec<f32>,
     step: usize,
     diverged: bool,
     hogwild_rng: StdRng,
@@ -83,63 +89,30 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
         let units: Vec<(usize, usize)> =
             model.weight_units().iter().map(|u| (u.offset, u.len)).collect();
         let total = model.param_len();
-        let partition = if cfg.partition_by_elements {
-            StagePartition::by_elements(total, cfg.stages)
-        } else {
-            StagePartition::from_units(&units, total, cfg.stages)
-        };
-        let clock = PipelineClock::new(cfg.stages, cfg.n_micro);
+        let partition = cfg.partition(&units, total);
+        let clock = cfg.clock();
         let mut rng = StdRng::seed_from_u64(init_seed);
         let mut params = vec![0.0f32; total];
         model.init_params(&mut params, &mut rng);
-        let history =
-            WeightHistory::with_precision(clock.history_depth() + 1, params, cfg.weight_storage);
-        let opt = Optimizer::new(cfg.optimizer, total);
-        // Recompute delay slots: stages grouped into segments; stage j
-        // within a segment has its activations recomputed 2(S−j) slots
-        // before its backward pass (App. A.2/D).
-        let recomp_slots: Vec<usize> = match cfg.recompute {
-            None => vec![0; cfg.stages],
-            Some(rc) => {
-                let seg = rc.segment_size(cfg.stages);
-                (0..cfg.stages).map(|s| clock.recomp_delay_slots(seg, s)).collect()
-            }
-        };
-        // Per-stage T2 decay from the nominal fractional delay gap. With
-        // recompute + T2, the backward consumes activations delayed by
-        // τ_recomp as well, so App. D widens the gap to the slower of the
-        // two discrepancies, max(τ_fwd, τ_recomp) − τ_bkwd; at late
-        // stages τ_recomp dominates τ_fwd and γ genuinely changes.
-        let gammas: Vec<f64> = (0..cfg.stages)
+        let shards = (0..cfg.stages)
             .map(|s| {
-                let gap = match &cfg.mode {
-                    TrainMode::Pipeline(Method::PipeMare) => {
-                        let tau_fwd = clock.nominal_tau_fwd(s);
-                        match cfg.recompute {
-                            Some(rc) if rc.t2 => {
-                                let seg = rc.segment_size(cfg.stages);
-                                tau_fwd.max(clock.nominal_tau_recomp(seg, s))
-                            }
-                            _ => tau_fwd,
-                        }
-                    }
-                    TrainMode::Pipeline(_) => 0.0,
-                    TrainMode::Hogwild(_) => 0.0,
-                };
-                cfg.t2_decay.map_or(0.0, |d| gamma_from_d(d, gap))
+                let (lo, hi) = partition.range(s);
+                StageShard::new(cfg.shard_spec(&partition, s), params[lo..hi].to_vec())
+                    .expect("a stage partition yields valid shard specs")
             })
             .collect();
         let hogwild_rng = StdRng::seed_from_u64(cfg.seed ^ 0x9e37_79b9);
+        let recomp_len = if cfg.recompute.is_some() { total } else { 0 };
         PipelineTrainer {
             model,
             cfg,
             partition,
             clock,
-            history,
-            opt,
-            delta: vec![0.0; total],
-            gammas,
-            recomp_slots,
+            shards,
+            latest: OnceCell::new(),
+            fwd_buf: vec![0.0; total],
+            bkwd_buf: vec![0.0; total],
+            recomp_buf: vec![0.0; recomp_len],
             step: 0,
             diverged: false,
             hogwild_rng,
@@ -186,7 +159,13 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
 
     /// The latest (most up-to-date) parameter vector.
     pub fn params(&self) -> &[f32] {
-        self.history.latest()
+        self.latest.get_or_init(|| self.shards.iter().flat_map(|sh| sh.latest()).copied().collect())
+    }
+
+    /// ‖w‖₂ of the latest weights, summed in parameter order.
+    fn param_norm(&self) -> f32 {
+        let weights = self.shards.iter().flat_map(|sh| sh.latest());
+        weights.map(|&w| w as f64 * w as f64).sum::<f64>().sqrt() as f32
     }
 
     /// Optimizer steps completed.
@@ -217,23 +196,31 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
 
     /// Whether step `t` is still in the synchronous (T3) warmup phase.
     pub fn in_warmup(&self) -> bool {
-        self.step < self.cfg.warmup_steps
+        self.cfg.in_warmup(self.step)
     }
 
     /// Snapshots everything needed to resume this run exactly: the whole
     /// weight-version window (delayed reads look backwards), the
     /// optimizer's moment buffers and step counter, and the T2 EWMA
-    /// velocity δ. Persist it with [`crate::checkpoint::save_state`].
+    /// velocity δ — each gathered across the stage shards into full
+    /// vectors. Persist it with [`crate::checkpoint::save_state`].
     pub fn state(&self) -> TrainerState {
-        let (m, v, t) = self.opt.state();
+        let gather = |part: &dyn Fn(&StageShard) -> &[f32]| -> Vec<f32> {
+            self.shards.iter().flat_map(|sh| part(sh).iter().copied()).collect()
+        };
+        // Every shard holds the same versions: they commit in lockstep.
+        let windows: Vec<_> = self.shards.iter().map(|sh| sh.history().snapshot()).collect();
+        let history = (0..windows[0].len())
+            .map(|i| (windows[0][i].0, windows.iter().flat_map(|w| w[i].1.clone()).collect()))
+            .collect();
         TrainerState {
             step: self.step,
             diverged: self.diverged,
-            opt_steps: t,
-            history: self.history.snapshot(),
-            delta: self.delta.clone(),
-            opt_m: m.to_vec(),
-            opt_v: v.to_vec(),
+            opt_steps: self.shards[0].optimizer().steps(),
+            history,
+            delta: gather(&|sh| sh.delta()),
+            opt_m: gather(&|sh| sh.optimizer().state().0),
+            opt_v: gather(&|sh| sh.optimizer().state().1),
         }
     }
 
@@ -252,18 +239,25 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
         for (_, p) in &state.history {
             assert_eq!(p.len(), total, "restore: parameter length mismatch");
         }
-        self.history = WeightHistory::from_versions_with_precision(
-            self.clock.history_depth() + 1,
-            state.history,
-            self.cfg.weight_storage,
-        );
         assert_eq!(
-            self.history.latest_version(),
-            state.step,
+            state.history.last().map(|(v, _)| *v),
+            Some(state.step),
             "restore: history is out of step with the step counter"
         );
-        self.opt.restore_state(state.opt_m, state.opt_v, state.opt_steps);
-        self.delta = state.delta;
+        // Optimizers without a moment buffer checkpoint it empty.
+        let part = |v: &[f32], lo: usize, hi: usize| {
+            assert!(v.is_empty() || v.len() == total, "restore: optimizer state length mismatch");
+            v.get(lo..hi).map_or_else(Vec::new, <[f32]>::to_vec)
+        };
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            let (lo, hi) = self.partition.range(s);
+            let versions = state.history.iter().map(|(v, w)| (*v, w[lo..hi].to_vec())).collect();
+            let opt = (part(&state.opt_m, lo, hi), part(&state.opt_v, lo, hi), state.opt_steps);
+            shard
+                .restore(versions, state.delta[lo..hi].to_vec(), opt)
+                .expect("restore: shard shapes checked above");
+        }
+        self.latest.take();
         self.step = state.step;
         self.diverged = state.diverged;
     }
@@ -274,52 +268,16 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
     pub fn stage_report(&self) -> Vec<StageInfo> {
         (0..self.cfg.stages)
             .map(|s| {
-                let (tau_fwd, tau_bkwd) = match &self.cfg.mode {
-                    TrainMode::Pipeline(m) => (
-                        match m {
-                            Method::GPipe => 0.0,
-                            _ => self.clock.nominal_tau_fwd(s),
-                        },
-                        self.clock.nominal_tau_bkwd(*m, s),
-                    ),
-                    TrainMode::Hogwild(h) => (h.means[s], h.means[s]),
-                };
+                let (tau_fwd, tau_bkwd) = self.cfg.nominal_taus(s);
                 StageInfo {
                     stage: s,
                     params: self.partition.stage_len(s),
                     tau_fwd,
                     tau_bkwd,
-                    gamma: self.gammas[s],
+                    gamma: self.shards[s].spec().gamma,
                 }
             })
             .collect()
-    }
-
-    /// The T1 learning-rate multiplier for stage `s` at async step
-    /// `t_async` — shared by the update loop and the health observation
-    /// so the monitored α is exactly the α applied.
-    fn t1_scale(&self, s: usize, t_async: usize, sync_phase: bool) -> f32 {
-        match (&self.cfg.t1, sync_phase, self.cfg.mode.method()) {
-            (Some(t1), false, Some(Method::PipeMare)) => {
-                t1.scale(t_async, self.clock.nominal_tau_fwd(s))
-            }
-            (Some(t1), false, None) => {
-                // Hogwild: rescale by the stage's mean delay.
-                if let TrainMode::Hogwild(h) = &self.cfg.mode {
-                    t1.scale(t_async, h.means[s])
-                } else {
-                    1.0
-                }
-            }
-            _ => 1.0,
-        }
-    }
-
-    fn assemble(&self, buf: &mut [f32], version_of: impl Fn(usize) -> usize) {
-        for s in 0..self.cfg.stages {
-            let (lo, hi) = self.partition.range(s);
-            self.history.copy_range(version_of(s), lo, hi, &mut buf[lo..hi]);
-        }
     }
 
     /// Runs one optimizer step on a minibatch already split into
@@ -347,7 +305,7 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
         // the end — the ring write itself is lock-free.
         let flight_t0 = self.health.as_ref().and_then(|h| h.flight.as_ref()).map(|f| f.now_us());
         let t = self.step;
-        let sync_phase = t < self.cfg.warmup_steps;
+        let sync_phase = self.cfg.in_warmup(t);
         let total = self.partition.total_params();
 
         if self.diverged || self.halted {
@@ -355,12 +313,7 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
             // without updating (runners stop early).
             self.step += 1;
             let base_lr = self.cfg.schedule.lr(t);
-            let param_norm = if self.diverged {
-                f32::INFINITY
-            } else {
-                self.history.latest().iter().map(|&w| w as f64 * w as f64).sum::<f64>().sqrt()
-                    as f32
-            };
+            let param_norm = if self.diverged { f32::INFINITY } else { self.param_norm() };
             if let (Some(m), Some(s)) = (&self.metrics, started) {
                 m.record_step(s, f32::NAN, base_lr, 0.0, 0.0, param_norm, false, self.diverged);
             }
@@ -380,86 +333,33 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
             }
             _ => None,
         };
+        let hog = hog_delays.as_deref();
+        // This step replaces the latest weights; drop the gathered copy
+        // before the passes allocate.
+        self.latest.take();
 
-        let mut fwd_buf = vec![0.0f32; total];
-        let mut bkwd_buf = vec![0.0f32; total];
         let mut grad = vec![0.0f32; total];
         let mut loss_acc = 0.0f32;
-        let method = self.cfg.mode.method();
+        let recompute = self.cfg.recomputes(t);
 
         for (n, batch) in micro.iter().enumerate() {
-            // Forward weight versions.
-            self.assemble(&mut fwd_buf, |s| {
-                if sync_phase {
-                    t
-                } else {
-                    match (&hog_delays, method) {
-                        (Some(d), _) => t.saturating_sub(d[s]),
-                        (None, Some(m)) => self.clock.fwd_version(m, t, n, s),
-                        (None, None) => t,
-                    }
-                }
-            });
-            let (loss, cache) = if let (Some(_rc), false, Some(Method::PipeMare)) =
-                (self.cfg.recompute, sync_phase, method)
-            {
+            read_pass(&mut self.shards, &mut self.fwd_buf, t, n, PassKind::Fwd, hog);
+            let (loss, cache) = if recompute {
                 // Recompute simulation: the loss comes from the true
                 // forward pass, but the activations the backward pass
                 // consumes are recomputed under a different (fresher)
                 // delayed version — optionally T2-corrected toward the
                 // forward version (App. D).
-                let (loss, _) = self.model.forward_loss(&fwd_buf, batch);
-                let mut recomp_buf = vec![0.0f32; total];
-                self.assemble(&mut recomp_buf, |s| {
-                    let m = (t * self.cfg.n_micro + n) as i64 - self.recomp_slots[s] as i64;
-                    m.div_euclid(self.cfg.n_micro as i64).clamp(0, t as i64) as usize
-                });
-                if self.cfg.recompute.unwrap().t2 && self.cfg.t2_decay.is_some() {
-                    // u_recomp ← u_recomp − (τ_fwd − τ_recomp)·δ.
-                    for s in 0..self.cfg.stages {
-                        let gap = self.clock.nominal_tau_fwd(s)
-                            - self.recomp_slots[s] as f64 / self.cfg.n_micro as f64;
-                        if gap > 0.0 {
-                            let (lo, hi) = self.partition.range(s);
-                            for (b, &d) in
-                                recomp_buf[lo..hi].iter_mut().zip(self.delta[lo..hi].iter())
-                            {
-                                *b -= gap as f32 * d;
-                            }
-                        }
-                    }
-                }
-                let (_, cache) = self.model.forward_loss(&recomp_buf, batch);
+                let (loss, _) = self.model.forward_loss(&self.fwd_buf, batch);
+                read_pass(&mut self.shards, &mut self.recomp_buf, t, n, PassKind::Recomp, hog);
+                let (_, cache) = self.model.forward_loss(&self.recomp_buf, batch);
                 (loss, cache)
             } else {
-                self.model.forward_loss(&fwd_buf, batch)
+                self.model.forward_loss(&self.fwd_buf, batch)
             };
             loss_acc += micro_weights[n] * loss;
-
-            // Backward weight versions.
-            self.assemble(&mut bkwd_buf, |s| {
-                if sync_phase {
-                    t
-                } else {
-                    match (&hog_delays, method) {
-                        (Some(d), _) => t.saturating_sub(d[s]),
-                        (None, Some(m)) => self.clock.bkwd_version(m, t, n, s),
-                        (None, None) => t,
-                    }
-                }
-            });
-            // T2: extrapolate the backward weights toward the forward
-            // version along the velocity estimate δ.
-            if !sync_phase && method == Some(Method::PipeMare) && self.cfg.t2_decay.is_some() {
-                for s in 0..self.cfg.stages {
-                    let gap = self.clock.nominal_tau_fwd(s); // τ_bkwd = 0
-                    let (lo, hi) = self.partition.range(s);
-                    for (b, &d) in bkwd_buf[lo..hi].iter_mut().zip(self.delta[lo..hi].iter()) {
-                        *b -= gap as f32 * d;
-                    }
-                }
-            }
-            let g = self.model.backward(&bkwd_buf, &cache);
+            read_pass(&mut self.shards, &mut self.bkwd_buf, t, n, PassKind::Bkwd, hog);
+            let g = self.model.backward(&self.bkwd_buf, &cache);
             for (acc, &gi) in grad.iter_mut().zip(g.iter()) {
                 *acc += micro_weights[n] * gi;
             }
@@ -475,48 +375,31 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
             clipped = clip_grad_norm(&mut grad, clip) > clip;
         }
 
+        // Stage the update on every shard, then commit it everywhere —
+        // or, if any gradient or staged weight is non-finite, revert it
+        // everywhere, keeping the last finite weights.
         let base_lr = self.cfg.schedule.lr(t);
-        let w_old = self.history.latest().to_vec();
-        let mut w_new = w_old.clone();
         let grad_finite = grad.iter().all(|g| g.is_finite());
-        let mut stage0_lr = base_lr;
-        if grad_finite {
-            self.opt.begin_step();
-            let t_async = t.saturating_sub(self.cfg.warmup_steps);
-            for s in 0..self.cfg.stages {
-                let (lo, hi) = self.partition.range(s);
-                let scale = self.t1_scale(s, t_async, sync_phase);
-                if s == 0 {
-                    stage0_lr = base_lr * scale;
-                }
-                self.opt.step_range(&mut w_new, &grad, lo, hi, base_lr * scale);
-            }
+        let mut finite = grad_finite;
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            let (lo, hi) = self.partition.range(s);
+            let lr = base_lr * self.cfg.t1_scale(s, t);
+            finite &= shard.apply_grad(t, lr, grad_finite, &grad[lo..hi]).expect("staged in order");
         }
-        let finite = w_new.iter().all(|w| w.is_finite());
-        if !finite || !grad_finite {
-            self.diverged = true;
-            // Keep the last finite weights in history.
-            w_new = w_old.clone();
+        self.diverged |= !finite;
+        for shard in &mut self.shards {
+            shard.commit(t, finite).expect("committed in order");
         }
-        // T2 velocity update: δ ← γδ + (1−γ)(w_new − w_old), per stage.
-        if self.cfg.t2_decay.is_some() {
-            for s in 0..self.cfg.stages {
-                let g = self.gammas[s] as f32;
-                let (lo, hi) = self.partition.range(s);
-                for i in lo..hi {
-                    self.delta[i] = g * self.delta[i] + (1.0 - g) * (w_new[i] - w_old[i]);
-                }
-            }
-        }
-        let param_norm = w_new.iter().map(|&w| w as f64 * w as f64).sum::<f64>().sqrt() as f32;
-        self.history.push(t + 1, w_new);
+        let param_norm = self.param_norm();
         self.step += 1;
         if let (Some(m), Some(s)) = (&self.metrics, started) {
             let delta_norm = if self.cfg.t2_decay.is_some() {
-                self.delta.iter().map(|&d| d as f64 * d as f64).sum::<f64>().sqrt()
+                let deltas = self.shards.iter().flat_map(|sh| sh.delta());
+                deltas.map(|&d| d as f64 * d as f64).sum::<f64>().sqrt()
             } else {
                 0.0
             };
+            let stage0_lr = if grad_finite { base_lr * self.cfg.t1_scale(0, t) } else { base_lr };
             m.record_step(
                 s,
                 loss_acc,
@@ -538,7 +421,7 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
             flight.record_span(SpanKind::Step, self.cfg.stages as u32, 0, t as u32, t0, t1);
         }
         if let Some(hg) = health_grad {
-            self.observe_health(t, sync_phase, loss_acc, &hg, &fwd_buf, base_lr);
+            self.observe_health(t, sync_phase, loss_acc, &hg, base_lr);
         }
         StepStats { step: t, loss: loss_acc, param_norm, base_lr, diverged: self.diverged }
     }
@@ -547,8 +430,8 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
     /// just completed and applies the hook's snapshot/halt policy to the
     /// events it raises.
     ///
-    /// `grad` is the pre-clip minibatch gradient and `fwd` the last
-    /// microbatch's forward-assembled weights: successive differences of
+    /// `grad` is the pre-clip minibatch gradient, and the forward buffer
+    /// holds the last microbatch's forward weights: successive differences of
     /// the two give the monitor its curvature secant
     /// λ̂ ≈ ‖g_t − g_{t−1}‖ / ‖u_t − u_{t−1}‖ per stage. Using the
     /// forward version (rather than `w_new − w_old`) keeps the
@@ -561,12 +444,11 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
         sync_phase: bool,
         loss: f32,
         grad: &[f32],
-        fwd: &[f32],
         base_lr: f32,
     ) {
         let Some(hook) = &self.health else { return };
         let monitor = Arc::clone(&hook.monitor);
-        let t_async = t.saturating_sub(self.cfg.warmup_steps);
+        let fwd = &self.fwd_buf;
         let slice_norm = |v: &[f32], lo: usize, hi: usize| -> f64 {
             v[lo..hi].iter().map(|&x| x as f64 * x as f64).sum::<f64>().sqrt()
         };
@@ -578,7 +460,6 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
                 .sum::<f64>()
                 .sqrt()
         };
-        let latest = self.history.latest();
         let t2_on = self.cfg.t2_decay.is_some();
         let mut stages = Vec::with_capacity(self.cfg.stages);
         for s in 0..self.cfg.stages {
@@ -589,30 +470,19 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
             };
             // During T3 warmup every read is synchronous, so the margin
             // is judged at τ = 0; afterwards at the nominal delays.
-            let (tau_fwd, tau_bkwd) = if sync_phase {
-                (0.0, 0.0)
-            } else {
-                match &self.cfg.mode {
-                    TrainMode::Pipeline(m) => (
-                        match m {
-                            Method::GPipe => 0.0,
-                            _ => self.clock.nominal_tau_fwd(s),
-                        },
-                        self.clock.nominal_tau_bkwd(*m, s),
-                    ),
-                    TrainMode::Hogwild(h) => (h.means[s], h.means[s]),
-                }
-            };
+            let (tau_fwd, tau_bkwd) =
+                if sync_phase { (0.0, 0.0) } else { self.cfg.nominal_taus(s) };
+            let shard = &self.shards[s];
             stages.push(StageObservation {
                 grad_norm: slice_norm(grad, lo, hi),
                 grad_diff_norm,
                 fwd_diff_norm,
-                weight_norm: slice_norm(latest, lo, hi),
-                delta_norm: if t2_on { slice_norm(&self.delta, lo, hi) } else { 0.0 },
-                alpha: base_lr as f64 * self.t1_scale(s, t_async, sync_phase) as f64,
+                weight_norm: slice_norm(shard.latest(), 0, hi - lo),
+                delta_norm: if t2_on { slice_norm(shard.delta(), 0, hi - lo) } else { 0.0 },
+                alpha: base_lr as f64 * self.cfg.t1_scale(s, t) as f64,
                 tau_fwd,
                 tau_bkwd,
-                gamma: self.gammas[s],
+                gamma: shard.spec().gamma,
             });
         }
         let obs = StepObservation {
@@ -624,7 +494,7 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
         };
         let events = monitor.observe(&obs);
         self.prev_grad = Some(grad.to_vec());
-        self.prev_fwd = Some(fwd.to_vec());
+        self.prev_fwd = Some(self.fwd_buf.clone());
 
         let worst = events.iter().map(|e| e.severity).max();
         let hook = self.health.as_ref().expect("hook checked above");
@@ -709,11 +579,34 @@ impl<'m, M: TrainModel> PipelineTrainer<'m, M> {
     }
 }
 
+/// Reads pass `pass` of `(step, micro)` from every shard into its range
+/// of `buf`, copying only the stages whose read changed since that pass's
+/// last one. `hogwild` holds the step's sampled delays.
+fn read_pass(
+    shards: &mut [StageShard],
+    buf: &mut [f32],
+    step: usize,
+    micro: usize,
+    pass: PassKind,
+    hogwild: Option<&[usize]>,
+) {
+    for (s, shard) in shards.iter_mut().enumerate() {
+        let plan = shard
+            .plan_if_changed(step, micro, pass, hogwild.map(|d| d[s]))
+            .expect("the trainer reads its shards at their committed step");
+        if let Some(plan) = plan {
+            let (lo, hi) = (shard.spec().lo, shard.spec().hi);
+            shard.read_into(plan, &mut buf[lo..hi]);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use pipemare_nn::{ImageBatch, Mlp};
     use pipemare_optim::{ConstantLr, OptimizerKind, T1Rescheduler};
+    use pipemare_pipeline::Method;
     use pipemare_tensor::Tensor;
 
     fn blob_micro(seed: u64, n_micro: usize, per_micro: usize) -> (Vec<ImageBatch>, Vec<f32>) {

@@ -1,7 +1,6 @@
 //! Ring buffer of recent weight versions, with optional bf16 storage
 //! for the delayed (non-latest) versions.
 
-use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use pipemare_tensor::{bf16, StoragePrecision};
@@ -13,28 +12,11 @@ enum Stored {
     Bf16(Vec<u16>),
 }
 
-impl Stored {
-    fn len(&self) -> usize {
-        match self {
-            Stored::F32(v) => v.len(),
-            Stored::Bf16(v) => v.len(),
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        match self {
-            Stored::F32(v) => v.len() * 4,
-            Stored::Bf16(v) => v.len() * 2,
-        }
-    }
-}
-
 /// Stores the most recent weight versions, addressed by version number.
 ///
-/// This mirrors the queue-of-weights the paper's simulator keeps per
-/// stage (App. C.4); here one buffer holds full parameter vectors and the
-/// trainer slices out per-stage ranges, which is equivalent and simpler.
-/// Requests older than the retained window clamp to the oldest version
+/// This is the queue of weights the paper's simulator keeps per stage
+/// (App. C.4): each [`crate::StageShard`] holds one for its stage's
+/// slice of the parameters. Requests older than the retained window clamp to the oldest version
 /// (which only happens in the first few minibatches, where the delay
 /// formulas clamp to version 0 anyway).
 ///
@@ -57,16 +39,6 @@ pub struct WeightHistory {
 }
 
 impl WeightHistory {
-    /// Creates an f32 history retaining `capacity` versions, seeded with
-    /// version 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity == 0`.
-    pub fn new(capacity: usize, initial: Vec<f32>) -> Self {
-        Self::with_precision(capacity, initial, StoragePrecision::F32)
-    }
-
     /// Creates a history whose non-latest versions are stored at
     /// `precision`.
     ///
@@ -75,14 +47,11 @@ impl WeightHistory {
     /// Panics if `capacity == 0`.
     pub fn with_precision(capacity: usize, initial: Vec<f32>, precision: StoragePrecision) -> Self {
         assert!(capacity > 0, "history capacity must be positive");
-        let mut versions = VecDeque::with_capacity(capacity + 1);
-        versions.push_back((0, Stored::F32(initial)));
+        // No reservation up front: the window grows only as versions are
+        // pushed, so a capacity sized from an absurd stage count costs
+        // nothing until that many versions exist.
+        let versions = VecDeque::from([(0, Stored::F32(initial))]);
         WeightHistory { versions, capacity, precision }
-    }
-
-    /// The storage precision of non-latest versions.
-    pub fn precision(&self) -> StoragePrecision {
-        self.precision
     }
 
     /// Records a new version. Versions must be pushed in increasing
@@ -122,28 +91,16 @@ impl WeightHistory {
         }
     }
 
-    /// The parameter vector at `version`, clamped to the retained
-    /// window. Borrowed for f32-stored versions; bf16-stored versions
-    /// are widened (exactly) into an owned vector.
-    pub fn get(&self, version: usize) -> Cow<'_, [f32]> {
-        match &self.entry(version).1 {
-            Stored::F32(v) => Cow::Borrowed(v.as_slice()),
-            Stored::Bf16(v) => Cow::Owned(bf16::decode_slice(v)),
-        }
-    }
-
-    /// Copies `version[lo..hi]` into `dst` without materializing the
-    /// whole vector — the trainer's per-stage assemble path.
+    /// Copies `version` (clamped to the retained window) into `dst`,
+    /// widening a bf16-stored version exactly.
     ///
     /// # Panics
     ///
-    /// Panics if the range is out of bounds or `dst` is not `hi - lo`
-    /// long.
-    pub fn copy_range(&self, version: usize, lo: usize, hi: usize, dst: &mut [f32]) {
-        assert_eq!(dst.len(), hi - lo, "copy_range destination length mismatch");
+    /// Panics if `dst` is not the parameter length.
+    pub fn read_into(&self, version: usize, dst: &mut [f32]) {
         match &self.entry(version).1 {
-            Stored::F32(v) => dst.copy_from_slice(&v[lo..hi]),
-            Stored::Bf16(v) => bf16::decode_into(&v[lo..hi], dst),
+            Stored::F32(v) => dst.copy_from_slice(v),
+            Stored::Bf16(v) => bf16::decode_into(v, dst),
         }
     }
 
@@ -157,7 +114,7 @@ impl WeightHistory {
         }
     }
 
-    /// The version [`Self::get`] actually serves for `version`: the
+    /// The version [`Self::read_into`] actually serves for `version`: the
     /// request clamped to the retained window.
     pub fn resolve(&self, version: usize) -> usize {
         let oldest = self.versions.front().expect("history never empty").0;
@@ -167,22 +124,6 @@ impl WeightHistory {
     fn entry(&self, version: usize) -> &(usize, Stored) {
         let oldest = self.versions.front().expect("history never empty").0;
         &self.versions[self.resolve(version) - oldest]
-    }
-
-    /// Number of retained versions.
-    pub fn len(&self) -> usize {
-        self.versions.len()
-    }
-
-    /// Bytes the retained window occupies (the quantity bf16 storage
-    /// halves; reported by benches and memory accounting).
-    pub fn storage_bytes(&self) -> usize {
-        self.versions.iter().map(|(_, s)| s.bytes()).sum()
-    }
-
-    /// Parameter-vector length of the retained versions.
-    pub fn param_len(&self) -> usize {
-        self.versions.back().expect("history never empty").1.len()
     }
 
     /// All retained versions, oldest first — the checkpointing snapshot.
@@ -205,22 +146,13 @@ impl WeightHistory {
             .collect()
     }
 
-    /// Rebuilds an f32 history from a [`WeightHistory::snapshot`].
+    /// Rebuilds a history from a [`WeightHistory::snapshot`] at the given
+    /// storage precision (all but the newest version are re-encoded).
     ///
     /// # Panics
     ///
     /// Panics if `versions` is empty, not consecutively numbered, or
     /// longer than `capacity`.
-    pub fn from_versions(capacity: usize, versions: Vec<(usize, Vec<f32>)>) -> Self {
-        Self::from_versions_with_precision(capacity, versions, StoragePrecision::F32)
-    }
-
-    /// Rebuilds a history from a snapshot at the given storage
-    /// precision (all but the newest version are re-encoded).
-    ///
-    /// # Panics
-    ///
-    /// As [`WeightHistory::from_versions`].
     pub fn from_versions_with_precision(
         capacity: usize,
         versions: Vec<(usize, Vec<f32>)>,
@@ -247,65 +179,70 @@ impl WeightHistory {
             .collect();
         WeightHistory { versions, capacity, precision }
     }
-
-    /// Whether only the initial version is present.
-    pub fn is_empty(&self) -> bool {
-        false // never empty by construction; kept for API symmetry
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn get(h: &WeightHistory, version: usize) -> Vec<f32> {
+        let mut out = vec![0.0; h.latest().len()];
+        h.read_into(version, &mut out);
+        out
+    }
+
     #[test]
     fn push_and_get() {
-        let mut h = WeightHistory::new(3, vec![0.0]);
+        let mut h = WeightHistory::with_precision(3, vec![0.0], StoragePrecision::F32);
         h.push(1, vec![1.0]);
         h.push(2, vec![2.0]);
-        assert_eq!(&*h.get(0), &[0.0]);
-        assert_eq!(&*h.get(1), &[1.0]);
-        assert_eq!(&*h.get(2), &[2.0]);
+        assert_eq!(get(&h, 0), &[0.0]);
+        assert_eq!(get(&h, 1), &[1.0]);
+        assert_eq!(get(&h, 2), &[2.0]);
         assert_eq!(h.latest(), &[2.0]);
         assert_eq!(h.latest_version(), 2);
     }
 
     #[test]
     fn eviction_clamps_to_oldest() {
-        let mut h = WeightHistory::new(2, vec![0.0]);
+        let mut h = WeightHistory::with_precision(2, vec![0.0], StoragePrecision::F32);
         h.push(1, vec![1.0]);
         h.push(2, vec![2.0]); // evicts version 0
-        assert_eq!(h.len(), 2);
-        assert_eq!(&*h.get(0), &[1.0], "evicted request clamps to oldest");
-        assert_eq!(&*h.get(99), &[2.0], "future request clamps to latest");
+        assert_eq!(h.snapshot().len(), 2);
+        assert_eq!(get(&h, 0), &[1.0], "evicted request clamps to oldest");
+        assert_eq!(get(&h, 99), &[2.0], "future request clamps to latest");
     }
 
     #[test]
     #[should_panic(expected = "expected 1")]
     fn non_consecutive_push_rejected() {
-        let mut h = WeightHistory::new(3, vec![0.0]);
+        let mut h = WeightHistory::with_precision(3, vec![0.0], StoragePrecision::F32);
         h.push(2, vec![2.0]);
     }
 
     #[test]
     fn snapshot_roundtrip_preserves_window() {
-        let mut h = WeightHistory::new(3, vec![0.0]);
+        let mut h = WeightHistory::with_precision(3, vec![0.0], StoragePrecision::F32);
         for v in 1..=4 {
             h.push(v, vec![v as f32]);
         }
         let snap = h.snapshot();
         assert_eq!(snap.len(), 3);
         assert_eq!(snap[0].0, 2, "oldest retained version");
-        let r = WeightHistory::from_versions(3, snap);
+        let r = WeightHistory::from_versions_with_precision(3, snap, StoragePrecision::F32);
         assert_eq!(r.latest_version(), 4);
-        assert_eq!(r.get(2), h.get(2));
-        assert_eq!(r.get(0), r.get(2), "clamping matches the original window");
+        assert_eq!(get(&r, 2), get(&h, 2));
+        assert_eq!(get(&r, 0), get(&r, 2), "clamping matches the original window");
     }
 
     #[test]
     #[should_panic(expected = "consecutive")]
     fn from_versions_rejects_gaps() {
-        WeightHistory::from_versions(3, vec![(0, vec![0.0]), (2, vec![2.0])]);
+        WeightHistory::from_versions_with_precision(
+            3,
+            vec![(0, vec![0.0]), (2, vec![2.0])],
+            StoragePrecision::F32,
+        );
     }
 
     #[test]
@@ -319,38 +256,24 @@ mod tests {
         assert!(h.stored_bf16(1).is_none(), "latest is never bf16-stored");
         // Version 0 was demoted at push time: bf16-rounded, error-bounded.
         assert!(h.stored_bf16(0).is_some());
-        for (got, want) in h.get(0).iter().zip(exactish.iter()) {
+        for (got, want) in get(&h, 0).iter().zip(exactish.iter()) {
             assert!((got - want).abs() <= pipemare_tensor::BF16_REL_EPS * want.abs());
         }
         h.push(2, vec![7.0, 8.0, 9.0]);
         // The noisy vector is now demoted; widened values re-encode
         // identically (bf16 → f32 → bf16 is the identity).
         let stored = h.stored_bf16(1).unwrap().to_vec();
-        assert_eq!(pipemare_tensor::bf16::encode_slice(&h.get(1)), stored);
+        assert_eq!(pipemare_tensor::bf16::encode_slice(&get(&h, 1)), stored);
     }
 
     #[test]
-    fn bf16_storage_bytes_halve_old_versions() {
-        let n = 1000;
-        let mut f = WeightHistory::new(3, vec![1.0; n]);
-        let mut b = WeightHistory::with_precision(3, vec![1.0; n], StoragePrecision::Bf16);
-        for v in 1..=2 {
-            f.push(v, vec![v as f32; n]);
-            b.push(v, vec![v as f32; n]);
-        }
-        assert_eq!(f.storage_bytes(), 3 * n * 4);
-        // Two demoted versions at 2 bytes + the f32 master.
-        assert_eq!(b.storage_bytes(), 2 * n * 2 + n * 4);
-    }
-
-    #[test]
-    fn bf16_copy_range_decodes_only_the_slice() {
+    fn bf16_read_into_widens_exactly() {
         let w: Vec<f32> = (0..10).map(|i| i as f32 * 0.7).collect();
         let mut h = WeightHistory::with_precision(2, w.clone(), StoragePrecision::Bf16);
         h.push(1, vec![0.0; 10]);
-        let mut dst = vec![0.0f32; 4];
-        h.copy_range(0, 3, 7, &mut dst);
-        assert_eq!(dst, h.get(0)[3..7].to_vec());
+        let mut dst = vec![0.0f32; 10];
+        h.read_into(0, &mut dst);
+        assert_eq!(dst, pipemare_tensor::bf16::decode_slice(h.stored_bf16(0).unwrap()));
     }
 
     #[test]
@@ -363,8 +286,8 @@ mod tests {
         let r = WeightHistory::from_versions_with_precision(3, snap, StoragePrecision::Bf16);
         for v in 0..=2 {
             assert_eq!(
-                h.get(v).iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                r.get(v).iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                get(&h, v).iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                get(&r, v).iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 "version {v} must survive snapshot → restore bit-exactly"
             );
             assert_eq!(h.stored_bf16(v).is_some(), r.stored_bf16(v).is_some());

@@ -24,6 +24,11 @@
 //! * [`hogwild`]: truncated-exponential stochastic delays (App. E).
 //! * [`stage`]: the transport-agnostic per-stage token flow shared by
 //!   the in-process executor and the distributed stage workers.
+//! * [`shard`]: [`StageShard`], PipeMare's per-stage weight state
+//!   (version selection, T2 extrapolation, the δ update, stage/commit)
+//!   that both the in-process and the distributed trainer drive.
+//! * [`train`]: [`TrainConfig`] and the per-stage γ, T1 scale and
+//!   recompute slots derived from it, plus [`StepStats`].
 
 pub mod cost;
 pub mod delay;
@@ -33,7 +38,9 @@ pub mod hogwild;
 pub mod partition;
 pub mod recompute;
 pub mod schedule;
+pub mod shard;
 pub mod stage;
+pub mod train;
 
 pub use cost::{
     gpipe_bubble_throughput, gpipe_equal_budget_throughput, normalized_throughput, ActivationModel,
@@ -53,4 +60,6 @@ pub use recompute::{
     RecomputePolicy, StageOp, StageOpKind,
 };
 pub use schedule::{ForwardPipeline, Schedule, SlotOp};
+pub use shard::{PassKind, ReadPlan, ShardError, ShardSpec, StageShard};
 pub use stage::{FwdOutcome, StageEvent, StageFlow};
+pub use train::{RecomputeCfg, StepStats, TrainConfig, TrainMode};

@@ -8,15 +8,11 @@
 
 use std::time::Duration;
 
-use pipemare_comms::{
-    handshake_worker, CommsError, Message, PassKind, StageConfig, Transport, WorkerLink,
-    PROTOCOL_VERSION,
-};
+use pipemare_comms::stage::host_stage_config;
+use pipemare_comms::{handshake_worker, CommsError, Message, PassKind, Transport, WorkerLink};
 use pipemare_nn::ServeSplit;
-use pipemare_optim::OptimizerKind;
 use pipemare_pipeline::Method;
 use pipemare_telemetry::TraceRecorder;
-use pipemare_tensor::StoragePrecision;
 
 /// Supplies the full parameter vector on demand.
 pub trait WeightSource: Send {
@@ -45,26 +41,6 @@ pub struct ShardWeightSource {
     splits: Vec<ServeSplit>,
 }
 
-fn serve_stage_config(splits: &[ServeSplit], param_len: usize, s: usize) -> StageConfig {
-    StageConfig {
-        protocol: PROTOCOL_VERSION,
-        stage: s as u32,
-        stages: splits.len() as u32,
-        n_micro: 1,
-        method: Method::GPipe,
-        param_len: param_len as u64,
-        shard_lo: splits[s].param_lo as u64,
-        shard_hi: splits[s].param_hi as u64,
-        opt: OptimizerKind::Sgd { weight_decay: 0.0 },
-        t2_decay: None,
-        gamma: 0.0,
-        recomp_slots: None,
-        recomp_t2: false,
-        warmup_steps: 0,
-        weight_storage: StoragePrecision::F32,
-    }
-}
-
 impl ShardWeightSource {
     /// Handshakes one worker per split and seeds each with its shard of
     /// `init` (the workers become plain weight hosts; nothing stops a
@@ -86,9 +62,9 @@ impl ShardWeightSource {
         let clock = TraceRecorder::with_tracks(splits.len() + 1);
         let mut links = Vec::with_capacity(splits.len());
         for (s, transport) in transports.into_iter().enumerate() {
-            let cfg = serve_stage_config(&splits, param_len, s);
-            let mut link = handshake_worker(transport, cfg, recv_timeout, &clock)?;
             let (lo, hi) = (splits[s].param_lo, splits[s].param_hi);
+            let cfg = host_stage_config(Method::GPipe, (s, splits.len()), 1, (lo, hi), param_len);
+            let mut link = handshake_worker(transport, cfg, recv_timeout, &clock)?;
             link.send(&Message::InitShard { params: init[lo..hi].to_vec() })?;
             links.push(link);
         }

@@ -12,7 +12,7 @@ use rand::SeedableRng;
 
 use pipemare::comms::{
     channel, loopback_pair, run_stage_worker_stats, spawn_loopback_workers, DistConfig,
-    DistributedTrainer, Message, PassKind, StageConfig, PROTOCOL_VERSION,
+    DistributedTrainer, Message, PassKind, SparseMode, StageConfig, PROTOCOL_VERSION,
 };
 use pipemare::nn::{ImageBatch, Mlp, TrainModel};
 use pipemare::pipeline::Method;
@@ -22,7 +22,7 @@ use pipemare::telemetry::json;
 use pipemare::telemetry::top;
 use pipemare::telemetry::{scrape_once, EventSource, SpanKind};
 use pipemare::tensor::{StoragePrecision, Tensor};
-use pipemare_core::serve_checkpoint;
+use pipemare_core::{serve_checkpoint, TrainConfig};
 
 use pipemare::optim::{ConstantLr, OptimizerKind, T1Rescheduler};
 
@@ -176,7 +176,7 @@ fn orchestrator_live_store_sees_stages_and_wire_traffic() {
     let model = Mlp::new(&[4, 10, 2]);
     let stages = 2;
     let n_micro = 2;
-    let cfg = DistConfig::pipemare(
+    let train = TrainConfig::pipemare(
         stages,
         n_micro,
         OptimizerKind::Momentum { beta: 0.9, weight_decay: 0.0 },
@@ -184,6 +184,7 @@ fn orchestrator_live_store_sees_stages_and_wire_traffic() {
         T1Rescheduler::new(24),
         0.9,
     );
+    let cfg = DistConfig { train, sparse_grads: SparseMode::Dense, recv_timeout: None };
     let (transports, handles) = spawn_loopback_workers(stages);
     let mut trainer =
         DistributedTrainer::connect(&model, cfg, 3, transports).expect("trainer connects");
