@@ -12,6 +12,7 @@ use pipemare_tensor::{kernels, Tensor};
 
 use crate::cache::Cache;
 use crate::layer::WeightUnit;
+use crate::linear::add_bias_rows;
 
 /// Attention masking modes.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -96,8 +97,8 @@ impl MultiHeadAttention {
         // Kernel runs on the parameter slice directly — no weight copy.
         let mut y = Tensor::zeros(&[rows, d]);
         kernels::gemm(x2.data(), w, y.data_mut(), rows, d, d);
-        let bt = Tensor::from_vec(b.to_vec(), &[d]);
-        y.add(&bt)
+        add_bias_rows(y.data_mut(), b);
+        y
     }
 
     /// Splits `(B, T, D)` into `(B*H, T, Dh)` head-major layout.

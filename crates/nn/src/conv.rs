@@ -6,6 +6,7 @@ use pipemare_tensor::{col2im, im2col, kernels, Conv2dGeometry, Tensor};
 
 use crate::cache::Cache;
 use crate::layer::{Layer, WeightUnit};
+use crate::linear::add_bias_rows;
 
 /// A 2-D convolution over `(B, C, H, W)` inputs with square kernels.
 ///
@@ -106,8 +107,7 @@ impl Layer for Conv2d {
             self.out_channels,
         );
         if self.bias {
-            let bt = Tensor::from_vec(params[self.weight_len()..].to_vec(), &[self.out_channels]);
-            y = y.add(&bt);
+            add_bias_rows(y.data_mut(), &params[self.weight_len()..]);
         }
         let (oh, ow) = (geom.out_h(), geom.out_w());
         // (B, oh, ow, out_c) -> (B, out_c, oh, ow)

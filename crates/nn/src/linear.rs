@@ -7,6 +7,17 @@ use pipemare_tensor::{kernels, Tensor};
 use crate::cache::Cache;
 use crate::layer::{Layer, WeightUnit};
 
+/// Adds `bias` to every row of the row-major `y` in place. Each element
+/// becomes `y + bias[j]`, the same sum broadcasting `y.add(bias)` makes,
+/// without materializing the bias as a tensor.
+pub(crate) fn add_bias_rows(y: &mut [f32], bias: &[f32]) {
+    for row in y.chunks_exact_mut(bias.len()) {
+        for (v, &b) in row.iter_mut().zip(bias) {
+            *v += b;
+        }
+    }
+}
+
 /// A fully connected layer: `y = x · W + b` with `W: (in, out)`.
 ///
 /// Input may be `(batch, in)` or any `(..., in)` shape; leading dimensions
@@ -72,15 +83,12 @@ impl Layer for Linear {
         let x2 = x.reshape(&[rows, self.in_features]);
         // Run the kernel on the parameter slice directly — no weight
         // Tensor copy per step.
-        let mut y = Tensor::zeros(&[rows, self.out_features]);
+        let mut y = Tensor::zeros(&self.output_shape(x.shape()));
         kernels::gemm(x2.data(), w, y.data_mut(), rows, self.in_features, self.out_features);
         if self.bias {
-            let bt = Tensor::from_vec(b.to_vec(), &[self.out_features]);
-            y = y.add(&bt);
+            add_bias_rows(y.data_mut(), b);
         }
-        let mut out_shape = x.shape().to_vec();
-        *out_shape.last_mut().unwrap() = self.out_features;
-        (y.reshape(&out_shape), Cache::with_tensors(vec![x2]))
+        (y, Cache::with_tensors(vec![x2]))
     }
 
     fn backward(&self, params: &[f32], cache: &Cache, dy: &Tensor) -> (Tensor, Vec<f32>) {

@@ -41,23 +41,25 @@ fn normalize_slices(x: &Tensor, slice_elems: &[Vec<usize>]) -> (Tensor, Vec<f32>
 
 /// Backward through normalization for one slice:
 /// `dx = inv_std * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))`.
+/// `elems` lists the slice's flat indices into `xhat` and `dx`, in the
+/// order of `dxhat`.
 fn normalize_backward_slice(
     dxhat: &[f32],
     xhat: &[f32],
-    elems: &[usize],
+    elems: impl Iterator<Item = usize> + Clone,
     inv_std: f32,
     dx: &mut [f32],
 ) {
-    let n = elems.len() as f32;
+    let n = dxhat.len() as f32;
     let mut sum_d = 0.0f32;
     let mut sum_dx = 0.0f32;
-    for (k, &i) in elems.iter().enumerate() {
+    for (k, i) in elems.clone().enumerate() {
         sum_d += dxhat[k];
         sum_dx += dxhat[k] * xhat[i];
     }
     let mean_d = sum_d / n;
     let mean_dx = sum_dx / n;
-    for (k, &i) in elems.iter().enumerate() {
+    for (k, i) in elems.enumerate() {
         dx[i] = inv_std * (dxhat[k] - mean_d - xhat[i] * mean_dx);
     }
 }
@@ -139,7 +141,8 @@ impl Layer for BatchNorm2d {
                 grads[self.channels + ci] += g; // dβ
                 dxhat.push(g * gamma);
             }
-            normalize_backward_slice(&dxhat, xhat.data(), elems, cache.scalars[ci], &mut dx);
+            let (elems, inv_std) = (elems.iter().copied(), cache.scalars[ci]);
+            normalize_backward_slice(&dxhat, xhat.data(), elems, inv_std, &mut dx);
         }
         (Tensor::from_vec(dx, dy.shape()), grads)
     }
@@ -213,16 +216,16 @@ impl Layer for LayerNorm {
         let rows = dy.len() / d;
         let mut grads = vec![0.0f32; self.param_len()];
         let mut dx = vec![0.0f32; dy.len()];
+        let mut dxhat = vec![0.0f32; d];
         for r in 0..rows {
-            let elems: Vec<usize> = (r * d..(r + 1) * d).collect();
-            let mut dxhat = Vec::with_capacity(d);
-            for (j, &i) in elems.iter().enumerate() {
+            let row = r * d..(r + 1) * d;
+            for (j, i) in row.clone().enumerate() {
                 let g = dy.data()[i];
                 grads[j] += g * xhat.data()[i];
                 grads[d + j] += g;
-                dxhat.push(g * params[j]);
+                dxhat[j] = g * params[j];
             }
-            normalize_backward_slice(&dxhat, xhat.data(), &elems, cache.scalars[r], &mut dx);
+            normalize_backward_slice(&dxhat, xhat.data(), row, cache.scalars[r], &mut dx);
         }
         (Tensor::from_vec(dx, dy.shape()), grads)
     }
@@ -343,7 +346,8 @@ impl Layer for GroupNorm {
                 debug_assert!(ci >= g * per && ci < (g + 1) * per);
                 dxhat.push(dy.data()[i] * params[ci]);
             }
-            normalize_backward_slice(&dxhat, xhat.data(), elems, cache.scalars[si], &mut dx);
+            let (elems, inv_std) = (elems.iter().copied(), cache.scalars[si]);
+            normalize_backward_slice(&dxhat, xhat.data(), elems, inv_std, &mut dx);
         }
         (Tensor::from_vec(dx, dy.shape()), grads)
     }

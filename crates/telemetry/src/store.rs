@@ -30,7 +30,7 @@
 //! longer than a microbatch slot this biases τ by at most one window's
 //! edge pairs, and the per-stage row reports how many pairs it used.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -83,7 +83,8 @@ pub struct LiveSample {
     pub ts_us: u64,
     /// Window this sample covers (since the previous tick), µs.
     pub window_us: u64,
-    /// Per-stage aggregates over the window (indexed by stage).
+    /// Per-stage aggregates over the window, ordered by stage (indexed
+    /// by stage up to [`MAX_DENSE_STAGE_ROWS`] stages).
     pub stages: Vec<StageLive>,
     /// Registry snapshot at sample time.
     pub metrics: MetricsSnapshot,
@@ -350,6 +351,15 @@ impl LiveStore {
     }
 }
 
+/// Most stage rows a sample folds densely. Rows run over stages
+/// `0..max(n_stages, highest stage with a forward or backward + 1)`,
+/// idle ones included so a stalled stage shows zero utilization, while
+/// that range fits under this bound. Past it (only a malformed stage
+/// count claims that many) rows cover the stages with a forward or
+/// backward only, so a claimed stage count never sizes an allocation or
+/// a loop.
+pub const MAX_DENSE_STAGE_ROWS: usize = 1 << 10;
+
 /// Folds the events whose spans ended after `since_us` into per-stage
 /// aggregates over a `window_us`-long window.
 fn fold_window(
@@ -358,16 +368,19 @@ fn fold_window(
     window_us: u64,
     n_stages: usize,
 ) -> Vec<StageLive> {
-    let n = n_stages.max(
-        events
-            .iter()
-            .filter(|e| matches!(e.kind, SpanKind::Forward | SpanKind::Backward))
-            .map(|e| e.stage as usize + 1)
-            .max()
-            .unwrap_or(0),
-    );
-    let mut out = Vec::with_capacity(n);
-    for s in 0..n as u32 {
+    let active: BTreeSet<u32> = events
+        .iter()
+        .filter(|e| matches!(e.kind, SpanKind::Forward | SpanKind::Backward))
+        .map(|e| e.stage)
+        .collect();
+    let dense = n_stages.max(active.last().map_or(0, |&s| s as usize + 1));
+    let stages: Vec<u32> = if dense <= MAX_DENSE_STAGE_ROWS {
+        (0..dense as u32).collect()
+    } else {
+        active.into_iter().collect()
+    };
+    let mut out = Vec::with_capacity(stages.len());
+    for s in stages {
         let mut busy_us = 0u64;
         let mut wait_us = 0u64;
         let mut fwd = (0u64, 0u64); // (total µs, count)
@@ -540,6 +553,29 @@ mod tests {
         assert_eq!(s.stages[0].tau_pairs, 1);
         // One fwd/bkwd pair, no other backward between → τ = 1 slot.
         assert!((s.stages[0].tau - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_huge_claimed_stage_count_folds_only_active_stages() {
+        // A malformed handshake can claim u32::MAX stages; sampling and
+        // scraping must neither reserve nor loop over that many rows.
+        let rec = Arc::new(FlightRecorder::new(2, 64));
+        let store = LiveStore::new("worker-0", u32::MAX as usize).with_events(rec.clone());
+        rec.record(TraceEvent {
+            kind: SpanKind::Forward,
+            track: 0,
+            stage: 0,
+            microbatch: 0,
+            ts_us: 0,
+            dur_us: 10,
+            trace: NO_TRACE,
+        });
+        store.sample();
+        let s = store.latest().unwrap();
+        assert_eq!(s.stages.len(), 1);
+        assert_eq!((s.stages[0].stage, s.stages[0].events), (0, 1));
+        let v = crate::json::parse(&store.scrape_line()).unwrap();
+        assert_eq!(v.get("stages").unwrap().as_arr().unwrap().len(), 1);
     }
 
     #[test]

@@ -76,9 +76,10 @@ pub const MC: usize = 64;
 /// Largest `mr × nr` accumulator any tier needs (AVX-512's 8×32).
 const MAX_TILE: usize = 8 * 32;
 
-/// Products smaller than this many flops (`2·m·k·n`) use the naive
-/// loop: packing overhead dominates below it.
-const BLOCKED_MIN_FLOPS: usize = 1 << 16;
+/// Products smaller than this many flops (`2·m·k·n`) use the scalar
+/// FMA-chain loop: below it packing costs more than the SIMD tile saves
+/// (measured crossover per layout in DESIGN §6.2).
+const BLOCKED_MIN_FLOPS: usize = 1 << 11;
 /// Products smaller than this many flops stay on one thread: pool
 /// dispatch costs a few microseconds per lane.
 const PARALLEL_MIN_FLOPS: usize = 1 << 21;
@@ -755,29 +756,50 @@ mod tests {
 
     #[test]
     fn blocked_is_bit_identical_to_reference_all_layouts_all_tiers() {
+        // Includes per-head attention products (T×Dh×T, T×T×Dh) on both
+        // sides of the blocked-path threshold, also run batched as
+        // attention runs them (32 heads × sentences per call).
+        const BATCH: usize = 32;
+        let shapes = [
+            (1, 1, 1),
+            (7, 9, 5),
+            (8, 8, 8),
+            (1, 16, 1),
+            (17, 16, 17),
+            (16, 17, 16),
+            (65, 33, 17),
+            (70, 64, 72),
+        ];
+        assert!(shapes.iter().any(|&(m, k, n)| 2 * m * k * n < BLOCKED_MIN_FLOPS));
+        let serial_blocked = BLOCKED_MIN_FLOPS..PARALLEL_MIN_FLOPS;
+        assert!(shapes.iter().any(|&(m, k, n)| serial_blocked.contains(&(2 * m * k * n))));
         for layout in [Layout::NN, Layout::NT, Layout::TN] {
-            for &(m, k, n) in &[(1, 1, 1), (7, 9, 5), (8, 8, 8), (65, 33, 17), (70, 64, 72)] {
-                let a = randvec(m * k, 1);
-                let b = randvec(k * n, 2);
-                let want = reference(layout, &a, &b, m, k, n);
+            for &(m, k, n) in &shapes {
+                let a = randvec(BATCH * m * k, 1);
+                let b = randvec(BATCH * k * n, 2);
+                let mut want = Vec::with_capacity(BATCH * m * n);
+                for bi in 0..BATCH {
+                    let (ab, bb) = (&a[bi * m * k..][..m * k], &b[bi * k * n..][..k * n]);
+                    want.extend(reference(layout, ab, bb, m, k, n));
+                }
                 let want_bits: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+                let (a1, b1, want1) = (&a[..m * k], &b[..k * n], &want_bits[..m * n]);
                 for level in available_levels() {
                     let mut got = vec![0.0f32; m * n];
-                    gemm_blocked_with(level, layout, &a, &b, &mut got, m, k, n);
+                    gemm_blocked_with(level, layout, a1, b1, &mut got, m, k, n);
                     let got_bits: Vec<u32> = got.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(
-                        got_bits,
-                        want_bits,
-                        "blocked {} {layout:?} {m}x{k}x{n}",
-                        level.name()
-                    );
+                    assert_eq!(got_bits, want1, "blocked {} {layout:?} {m}x{k}x{n}", level.name());
                 }
-                // The dispatching entry point (which may pick the scalar
-                // path for these sizes) must agree bit-for-bit too.
+                // The dispatching entry points (which pick the scalar
+                // path below the threshold) must agree bit-for-bit too.
                 let mut via_dispatch = vec![0.0f32; m * n];
-                gemm_any(layout, &a, &b, &mut via_dispatch, m, k, n);
+                gemm_any(layout, a1, b1, &mut via_dispatch, m, k, n);
                 let dispatch_bits: Vec<u32> = via_dispatch.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(dispatch_bits, want_bits, "dispatch {layout:?} {m}x{k}x{n}");
+                assert_eq!(dispatch_bits, want1, "dispatch {layout:?} {m}x{k}x{n}");
+                let mut batched = vec![0.0f32; BATCH * m * n];
+                gemm_batched(layout, &a, &b, &mut batched, BATCH, m, k, n);
+                let batched_bits: Vec<u32> = batched.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(batched_bits, want_bits, "batched {layout:?} {m}x{k}x{n}");
             }
         }
     }

@@ -8,7 +8,7 @@
 
 use crate::kernels::UnsafeSlice;
 use crate::pool;
-use crate::shape::{broadcast_shapes, ravel_broadcast, unravel};
+use crate::shape::{broadcast_shapes, broadcast_strides, for_each_row, Shape};
 use crate::tensor::Tensor;
 
 /// Elementwise ops shorter than this stay serial.
@@ -83,15 +83,19 @@ impl Tensor {
             return Tensor { data, shape: self.shape.clone() };
         }
         let out_dims = broadcast_shapes(self.shape(), other.shape());
-        let mut out = Tensor::zeros(&out_dims);
-        let mut idx = vec![0usize; out_dims.len()];
-        for (flat, slot) in out.data.iter_mut().enumerate() {
-            unravel(flat, &out_dims, &mut idx);
-            let a = self.data[ravel_broadcast(&idx, self.shape())];
-            let b = other.data[ravel_broadcast(&idx, other.shape())];
-            *slot = f(a, b);
-        }
-        out
+        let sa = broadcast_strides(self.shape(), &out_dims);
+        let sb = broadcast_strides(other.shape(), &out_dims);
+        // Along an output row each operand steps by 1, or by 0 where it
+        // broadcasts the last dimension.
+        let run = out_dims.last().copied().unwrap_or(1);
+        let (step_a, step_b) = (sa.last().copied().unwrap_or(0), sb.last().copied().unwrap_or(0));
+        let mut data = Vec::with_capacity(out_dims.iter().product());
+        for_each_row(&out_dims, [&sa, &sb], |[oa, ob]| {
+            data.extend(
+                (0..run).map(|j| f(self.data[oa + j * step_a], other.data[ob + j * step_b])),
+            );
+        });
+        Tensor { data, shape: Shape::new(&out_dims) }
     }
 
     /// Elementwise addition with broadcasting.

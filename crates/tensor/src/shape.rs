@@ -80,28 +80,51 @@ pub fn broadcast_shapes(a: &[usize], b: &[usize]) -> Vec<usize> {
     out
 }
 
-/// Converts a flat index into a multi-index for `shape`.
-pub(crate) fn unravel(mut flat: usize, shape: &[usize], out: &mut [usize]) {
-    for i in (0..shape.len()).rev() {
-        out[i] = flat % shape[i];
-        flat /= shape[i];
-    }
+/// Strides of an operand of shape `shape` read at the indices of the
+/// broadcast shape `out` (`shape` aligned to the right of `out`): the
+/// operand's row-major stride on its own dimensions, 0 on dimensions it
+/// broadcasts (extent 1, or missing on the left).
+pub(crate) fn broadcast_strides(shape: &[usize], out: &[usize]) -> Vec<usize> {
+    let own = Shape::new(shape).strides();
+    let pad = out.len() - shape.len();
+    (0..out.len()).map(|i| if i < pad || shape[i - pad] == 1 { 0 } else { own[i - pad] }).collect()
 }
 
-/// Converts a multi-index into a flat index for a tensor of shape `shape`,
-/// treating size-1 dimensions as broadcast (index clamped to 0).
-pub(crate) fn ravel_broadcast(idx: &[usize], shape: &[usize]) -> usize {
-    // `idx` is aligned to the *right* of `shape`s broadcast target; `shape`
-    // may be shorter than `idx`.
-    let offset = idx.len() - shape.len();
-    let mut flat = 0usize;
-    let mut stride = 1usize;
-    for i in (0..shape.len()).rev() {
-        let j = if shape[i] == 1 { 0 } else { idx[i + offset] };
-        flat += j * stride;
-        stride *= shape[i];
+/// Walks the row-major index space `dims` one row at a time, a row being
+/// a run along the last dimension, and calls `row(offsets)` for each row
+/// in order. `offsets[j]` is operand `j`'s flat offset of the row's first
+/// element, where operand `j` advances by `strides[j][d]` along
+/// dimension `d`; stepping along the row itself is left to the caller.
+/// A rank-0 space has one row, a space with an empty dimension none.
+pub(crate) fn for_each_row<const K: usize>(
+    dims: &[usize],
+    strides: [&[usize]; K],
+    mut row: impl FnMut([usize; K]),
+) {
+    if dims.contains(&0) {
+        return;
     }
-    flat
+    let outer = dims.len().saturating_sub(1);
+    let mut idx = vec![0usize; outer];
+    let mut off = [0usize; K];
+    // Odometer over the outer dimensions, innermost first.
+    'rows: loop {
+        row(off);
+        for d in (0..outer).rev() {
+            idx[d] += 1;
+            if idx[d] < dims[d] {
+                for (o, s) in off.iter_mut().zip(&strides) {
+                    *o += s[d];
+                }
+                continue 'rows;
+            }
+            idx[d] = 0;
+            for (o, s) in off.iter_mut().zip(&strides) {
+                *o -= s[d] * (dims[d] - 1);
+            }
+        }
+        return;
+    }
 }
 
 #[cfg(test)]
@@ -138,21 +161,9 @@ mod tests {
     }
 
     #[test]
-    fn unravel_ravel_roundtrip() {
-        let shape = [2usize, 3, 4];
-        let mut idx = [0usize; 3];
-        for flat in 0..24 {
-            unravel(flat, &shape, &mut idx);
-            assert_eq!(ravel_broadcast(&idx, &shape), flat);
-        }
-    }
-
-    #[test]
-    fn ravel_broadcast_clamps_unit_dims() {
-        // shape [1, 4] broadcast against index space [3, 4]
-        let idx = [2usize, 3];
-        assert_eq!(ravel_broadcast(&idx, &[1, 4]), 3);
-        // trailing alignment: shape [4] against index [2, 3]
-        assert_eq!(ravel_broadcast(&idx, &[4]), 3);
+    fn broadcast_strides_zero_broadcast_dims() {
+        assert_eq!(broadcast_strides(&[4, 1], &[2, 4, 3]), vec![0, 1, 0]);
+        assert_eq!(broadcast_strides(&[2, 4, 3], &[2, 4, 3]), vec![12, 3, 1]);
+        assert_eq!(broadcast_strides(&[], &[5]), vec![0]);
     }
 }

@@ -171,14 +171,7 @@ impl Tensor {
     /// Panics if the tensor is not 2-D.
     pub fn transpose(&self) -> Tensor {
         assert_eq!(self.ndim(), 2, "transpose() requires a 2-D tensor, got {:?}", self.shape());
-        let (m, n) = (self.shape()[0], self.shape()[1]);
-        let mut out = Tensor::zeros(&[n, m]);
-        for i in 0..m {
-            for j in 0..n {
-                out.data[j * m + i] = self.data[i * n + j];
-            }
-        }
-        out
+        self.permute(&[1, 0])
     }
 
     /// Permutes the dimensions of the tensor according to `perm`.
@@ -200,17 +193,21 @@ impl Tensor {
         let src_dims = self.shape.dims();
         let dst_dims: Vec<usize> = perm.iter().map(|&p| src_dims[p]).collect();
         let src_strides = self.shape.strides();
-        let mut out = Tensor::zeros(&dst_dims);
-        let mut idx = vec![0usize; nd];
-        for (flat, slot) in out.data.iter_mut().enumerate() {
-            crate::shape::unravel(flat, &dst_dims, &mut idx);
-            let mut src_flat = 0;
-            for (k, &p) in perm.iter().enumerate() {
-                src_flat += idx[k] * src_strides[p];
+        let walk: Vec<usize> = perm.iter().map(|&p| src_strides[p]).collect();
+        // Each output row is a run along the last output dimension: a
+        // contiguous copy when the permutation keeps the last dimension
+        // last, a strided gather otherwise.
+        let (run, step) =
+            (dst_dims.last().copied().unwrap_or(1), walk.last().copied().unwrap_or(0));
+        let mut data = Vec::with_capacity(self.len());
+        crate::shape::for_each_row(&dst_dims, [&walk], |[off]| {
+            if step == 1 {
+                data.extend_from_slice(&self.data[off..off + run]);
+            } else {
+                data.extend((0..run).map(|j| self.data[off + j * step]));
             }
-            *slot = self.data[src_flat];
-        }
-        out
+        });
+        Tensor { data, shape: Shape::new(&dst_dims) }
     }
 
     /// Extracts row `i` of a 2-D tensor as a 1-D tensor.
