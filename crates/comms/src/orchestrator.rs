@@ -33,8 +33,8 @@ use pipemare_nn::TrainModel;
 use pipemare_optim::clip_grad_norm;
 use pipemare_pipeline::{Method, StagePartition, StepStats, TrainConfig};
 use pipemare_telemetry::{
-    events_from_jsonl_string, merge_worker_events, sort_events, EventSource, LiveStore,
-    MetricsRegistry, Recorder, SpanKind, TraceEvent, TraceRecorder, NO_MICROBATCH,
+    events_from_jsonl_string, merge_worker_events, sort_events, LiveStore, MetricsRegistry,
+    Recorder, SpanKind, TraceEvent, TraceRecorder, NO_MICROBATCH,
 };
 
 use crate::codec::{SparseMode, TensorPayload};
@@ -124,14 +124,21 @@ impl WorkerLink {
     }
 
     /// Receives the worker's telemetry batch and merges it into `merged`,
-    /// re-tracked onto this link's stage and shifted into driver time.
-    fn merge_telemetry(&mut self, merged: &mut Vec<TraceEvent>) -> Result<(), CommsError> {
+    /// re-tracked onto this link's stage and shifted into driver time,
+    /// folding the merged events into `live` as well.
+    fn merge_telemetry(
+        &mut self,
+        merged: &mut Vec<TraceEvent>,
+        live: &LiveStore,
+    ) -> Result<(), CommsError> {
         match self.recv()? {
             Message::Telemetry { jsonl, .. } => {
                 let events = events_from_jsonl_string(&jsonl).map_err(|e| {
                     CommsError::Protocol(format!("stage {}: bad telemetry: {e}", self.stage))
                 })?;
+                let from = merged.len();
                 merge_worker_events(merged, &events, self.stage, self.offset_us);
+                live.ingest(&merged[from..]);
                 Ok(())
             }
             other => Err(self.protocol("Telemetry", &other)),
@@ -253,9 +260,7 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
             links.push(link);
         }
         let live = Arc::new(
-            LiveStore::new("orchestrator", train.stages)
-                .with_registry(Arc::clone(&registry))
-                .with_events(Arc::clone(&recorder) as Arc<dyn EventSource + Send + Sync>),
+            LiveStore::new("orchestrator", train.stages).with_registry(Arc::clone(&registry)),
         );
         let recomp_len = if train.recompute.is_some() { total } else { 0 };
         Ok(DistributedTrainer {
@@ -276,9 +281,9 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
         })
     }
 
-    /// The driver's live stats store (role `orchestrator`): driver-side
-    /// step spans folded into per-stage activity plus `wire.stage{s}.*`
-    /// traffic gauges. Hook it to a
+    /// The driver's live stats store (role `orchestrator`): every
+    /// worker's spans, folded into per-stage rows as each telemetry
+    /// batch merges, plus `wire.stage{s}.*` traffic gauges. Hook it to a
     /// [`pipemare_telemetry::StatsEndpoint`] /
     /// [`pipemare_telemetry::StoreTicker`] to let `pmtop` watch a run.
     pub fn live_store(&self) -> Arc<LiveStore> {
@@ -364,7 +369,7 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
             link.send(&Message::Flush { id })?;
         }
         for link in &mut self.links {
-            link.merge_telemetry(&mut self.merged)?;
+            link.merge_telemetry(&mut self.merged, &self.live)?;
             match link.recv()? {
                 Message::FlushAck { id: got, .. } if got == id => {}
                 other => return Err(link.protocol("FlushAck", &other)),
@@ -523,7 +528,7 @@ impl<'m, M: TrainModel> DistributedTrainer<'m, M> {
             link.send(&Message::Shutdown)?;
         }
         for link in &mut self.links {
-            link.merge_telemetry(&mut self.merged)?;
+            link.merge_telemetry(&mut self.merged, &self.live)?;
             match link.recv()? {
                 Message::ShutdownAck { last_step, .. } => worker_steps.push(last_step),
                 other => return Err(link.protocol("ShutdownAck", &other)),

@@ -25,9 +25,8 @@ use std::time::Duration;
 
 use pipemare_pipeline::{FwdOutcome, StageEvent, StageFlow, StageShard};
 use pipemare_telemetry::{
-    default_rules, events_to_jsonl_string, AlertEngine, EventSource, JournalConfig, JournalWriter,
-    LiveStore, MetricsRegistry, Recorder, SpanKind, StatsEndpoint, StoreTicker, TraceRecorder,
-    NO_MICROBATCH,
+    default_rules, events_to_jsonl_string, AlertEngine, JournalConfig, JournalWriter, LiveStore,
+    MetricsRegistry, Recorder, SpanKind, StatsEndpoint, StoreTicker, TraceRecorder, NO_MICROBATCH,
 };
 
 use crate::error::CommsError;
@@ -67,9 +66,12 @@ fn fail(tx: &mut Sender, e: CommsError) -> CommsError {
     e
 }
 
-fn telemetry_batch(recorder: &TraceRecorder, stage: u32) -> Message {
+/// Drains the recorder into one telemetry batch, folding the drained
+/// events into the live store on the way so its next sample sees them.
+fn telemetry_batch(recorder: &TraceRecorder, store: &LiveStore, stage: u32) -> Message {
     let events = recorder.events();
     recorder.clear();
+    store.ingest(&events);
     Message::Telemetry { stage, jsonl: events_to_jsonl_string(&events) }
 }
 
@@ -84,7 +86,7 @@ pub fn run_stage_worker(tx: Sender, rx: Receiver) -> Result<StageWorkerReport, C
 }
 
 /// [`run_stage_worker`] with the live-stats plane enabled: wire gauges,
-/// a [`LiveStore`] over the worker's recorder answering in-band
+/// a [`LiveStore`] over the worker's drained telemetry answering in-band
 /// [`Message::StatsRequest`]s, and — when `stats_addr` is given — a
 /// plain-TCP scrape endpoint plus a 250 ms background ticker so `pmtop`
 /// and `nc` can poll the worker while it trains.
@@ -131,15 +133,17 @@ pub fn run_stage_worker_opts(
     let registry = Arc::new(MetricsRegistry::new());
     tx.bind_gauges(&registry, "wire.orchestrator");
     rx.bind_gauges(&registry, "wire.orchestrator");
+    // The store folds the recorder's events as each telemetry batch
+    // drains them, into a row for this worker's stage alone.
     let store = Arc::new(
         LiveStore::new(&format!("worker-{stage_id}"), cfg.stages as usize)
             .with_registry(Arc::clone(&registry))
-            .with_events(Arc::clone(&recorder) as Arc<dyn EventSource + Send + Sync>),
+            .with_stage(stage_id),
     );
     // Default alert pack: scrapes grow an `alerts` array and fire /
     // resolve instants land on the recorder's extra (driver) track, so
     // they ship home inside the normal telemetry batches.
-    let engine = Arc::new(AlertEngine::new(default_rules()));
+    let engine = Arc::new(AlertEngine::new(default_rules()).for_stages(cfg.stages as usize));
     engine.attach_recorder(Arc::clone(&recorder) as Arc<dyn Recorder + Send + Sync>, cfg.stages);
     store.attach_alerts(Arc::clone(&engine));
     // Endpoint + ticker (if enabled) live exactly as long as this call.
@@ -285,11 +289,11 @@ fn run_training_loop(
                 tx.send(&Message::CommitAck { step, stage: stage_id, sq_norm })?;
             }
             Message::Flush { id } => {
-                tx.send(&telemetry_batch(recorder, stage_id))?;
+                tx.send(&telemetry_batch(recorder, store, stage_id))?;
                 tx.send(&Message::FlushAck { id, last_step: shard.committed_steps() as u64 })?;
             }
             Message::Shutdown => {
-                tx.send(&telemetry_batch(recorder, stage_id))?;
+                tx.send(&telemetry_batch(recorder, store, stage_id))?;
                 tx.send(&Message::ShutdownAck {
                     stage: stage_id,
                     last_step: shard.committed_steps() as u64,
@@ -398,13 +402,13 @@ fn run_token_loop(
                 tx.send(&Message::Token { backward: true, id })?;
             }
             Message::Flush { id } => {
-                tx.send(&telemetry_batch(recorder, stage_id))?;
+                tx.send(&telemetry_batch(recorder, store, stage_id))?;
                 tx.send(&Message::FlushAck { id, last_step: 0 })?;
             }
             Message::StatsRequest { id } => answer_stats(store, id, &mut tx)?,
             Message::Shutdown => {
                 // Early shutdown (orchestrator aborting): ack and leave.
-                tx.send(&telemetry_batch(recorder, stage_id))?;
+                tx.send(&telemetry_batch(recorder, store, stage_id))?;
                 tx.send(&Message::ShutdownAck { stage: stage_id, last_step: 0 })?;
                 return Ok(StageWorkerReport {
                     stage: stage_id,
@@ -425,12 +429,12 @@ fn run_token_loop(
     loop {
         match rx.recv()? {
             Message::Flush { id } => {
-                tx.send(&telemetry_batch(recorder, stage_id))?;
+                tx.send(&telemetry_batch(recorder, store, stage_id))?;
                 tx.send(&Message::FlushAck { id, last_step: 0 })?;
             }
             Message::StatsRequest { id } => answer_stats(store, id, &mut tx)?,
             Message::Shutdown => {
-                tx.send(&telemetry_batch(recorder, stage_id))?;
+                tx.send(&telemetry_batch(recorder, store, stage_id))?;
                 tx.send(&Message::ShutdownAck { stage: stage_id, last_step: 0 })?;
                 return Ok(StageWorkerReport {
                     stage: stage_id,

@@ -185,6 +185,8 @@ struct EngineInner {
 /// with a live store (state is per-evaluation-stream).
 pub struct AlertEngine {
     rules: Vec<AlertRule>,
+    /// The run's stage count, for the nominal τ (0: from the rows).
+    n_stages: usize,
     inner: Mutex<EngineInner>,
     recorder: Mutex<Option<(Arc<dyn Recorder + Send + Sync>, u32)>>,
     #[allow(clippy::type_complexity)]
@@ -196,6 +198,7 @@ impl AlertEngine {
     pub fn new(rules: Vec<AlertRule>) -> Self {
         AlertEngine {
             rules,
+            n_stages: 0,
             inner: Mutex::new(EngineInner {
                 states: HashMap::new(),
                 counters: HashMap::new(),
@@ -204,6 +207,14 @@ impl AlertEngine {
             recorder: Mutex::new(None),
             on_firing: Mutex::new(None),
         }
+    }
+
+    /// Sets the run's stage count for the nominal τ of
+    /// [`Signal::StageTauDrift`]; without it the rows' highest stage
+    /// + 1 stands in, wrong for a stage worker's own-stage row.
+    pub fn for_stages(mut self, n_stages: usize) -> Self {
+        self.n_stages = n_stages;
+        self
     }
 
     /// The rule set.
@@ -266,7 +277,9 @@ impl AlertEngine {
             }
         }
         for (rule_index, rule) in self.rules.iter().enumerate() {
-            for (label, value) in evaluate_signal_values(&rule.condition, sample, &deltas) {
+            for (label, value) in
+                evaluate_signal_values(&rule.condition, sample, &deltas, self.n_stages)
+            {
                 let breached = match &rule.condition {
                     AlertCondition::Absence { .. } => value.is_nan(),
                     AlertCondition::Threshold { cmp, limit, .. } => {
@@ -375,6 +388,7 @@ fn evaluate_signal_values(
     condition: &AlertCondition,
     sample: &LiveSample,
     deltas: &HashMap<&str, (u64, f64)>,
+    n_stages: usize,
 ) -> Vec<(String, f64)> {
     let signal = match condition {
         AlertCondition::Threshold { signal, .. } | AlertCondition::Absence { signal } => signal,
@@ -437,7 +451,8 @@ fn evaluate_signal_values(
                 .collect()
         }
         Signal::StageTauDrift => {
-            let n_stages = sample.stages.len();
+            let highest = sample.stages.iter().map(|st| st.stage as usize + 1).max();
+            let n_stages = n_stages.max(highest.unwrap_or(0));
             sample
                 .stages
                 .iter()

@@ -15,8 +15,9 @@ use std::path::Path;
 
 use crate::event::{SpanKind, TraceEvent, NO_TRACE};
 use crate::export::{chrome_trace_events, event_from_jsonl};
+use crate::fold::fold_windows;
 use crate::json::Value;
-use crate::summary::{delay_slot_samples, PipelineTimelineSummary};
+use crate::summary::{PipelineTimelineSummary, StageTimeline};
 
 /// Serving-trace shape: batches, member requests, and throughput,
 /// detected from `Coalesce` spans (the serving batcher's signature).
@@ -241,94 +242,45 @@ pub struct WindowStats {
     pub t0_us: u64,
     /// Window end.
     pub t1_us: u64,
-    /// `1 −` mean per-stage busy fraction inside the window.
+    /// `1 −` mean per-stage utilization inside the window.
     pub bubble_fraction: f64,
-    /// Mean measured forward delay (slots) per stage, for microbatches
-    /// whose forward starts inside the window; NaN when no sample.
+    /// Mean measured forward delay (slots) per stage, over the
+    /// backwards that ended inside the window; NaN when no sample.
     pub tau_fwd: Vec<f64>,
     /// Mean measured recompute delay (slots) per stage; NaN when no
     /// sample.
     pub tau_recomp: Vec<f64>,
 }
 
-/// Splits the trace span into `n_windows` equal windows and measures
-/// each: busy-time (clipped to window overlap, so straddling spans are
-/// attributed exactly) and the measured τ of the microbatches whose
-/// forward / replay starts fall inside the window. This is how τ *drift
-/// over time* becomes visible — a stage whose measured delay walks away
-/// from the nominal `2(P−1−s)+1` shows up window by window.
+/// Splits the trace span into `n_windows` equal windows and reads each
+/// off one [`crate::fold::StageFold`]: every span counts in the window holding its
+/// end, and each τ sample in its backward's window. This is how τ
+/// *drift over time* becomes visible — a stage whose measured delay
+/// walks away from the nominal `2(P−1−s)+1` shows up window by window.
 pub fn windowed_stats(events: &[TraceEvent], n_windows: usize) -> Vec<WindowStats> {
     assert!(n_windows > 0);
-    let n_stages = events
-        .iter()
-        .filter(|e| matches!(e.kind, SpanKind::Forward | SpanKind::Backward))
-        .map(|e| e.stage + 1)
-        .max()
-        .unwrap_or(0) as usize;
+    let n_stages = PipelineTimelineSummary::from_events(events).stages.len();
     if n_stages == 0 {
         return Vec::new();
     }
     let start = events.iter().map(|e| e.ts_us).min().unwrap();
     let end = events.iter().map(|e| e.ts_us + e.dur_us).max().unwrap().max(start + 1);
     let width = (end - start).div_ceil(n_windows as u64).max(1);
-
-    // Per-stage starts for delay samples (windowed by fwd/replay start).
+    let t0 = |w: u64| (start + w * width).min(end);
+    let cuts: Vec<u64> = (1..=n_windows as u64).map(t0).collect();
     let mut out = Vec::with_capacity(n_windows);
-    for w in 0..n_windows as u64 {
-        let t0 = start + w * width;
-        let t1 = (t0 + width).min(end);
-        let mut busy = vec![0u64; n_stages];
-        for e in events {
-            if !matches!(e.kind, SpanKind::Forward | SpanKind::Backward | SpanKind::Recompute) {
-                continue;
-            }
-            let lo = e.ts_us.max(t0);
-            let hi = (e.ts_us + e.dur_us).min(t1);
-            if hi > lo {
-                busy[e.stage as usize] += hi - lo;
-            }
-        }
-        let span = (t1 - t0) as f64;
-        let mean_util = busy.iter().map(|&b| b as f64 / span).sum::<f64>() / n_stages as f64;
-        let mut tau_fwd = Vec::with_capacity(n_stages);
-        let mut tau_recomp = Vec::with_capacity(n_stages);
-        for s in 0..n_stages as u32 {
-            let in_window = |ts: u64| ts >= t0 && ts < t1;
-            let mut fwd_starts = Vec::new();
-            let mut bkwd_starts = Vec::new();
-            let mut recomp_starts = Vec::new();
-            for e in events.iter().filter(|e| e.stage == s) {
-                match e.kind {
-                    SpanKind::Forward if in_window(e.ts_us) => {
-                        fwd_starts.push((e.microbatch, e.ts_us));
-                    }
-                    SpanKind::Recompute if in_window(e.ts_us) => {
-                        recomp_starts.push((e.microbatch, e.ts_us));
-                    }
-                    // Backward starts are needed globally: a forward that
-                    // starts in this window may turn around in a later one.
-                    SpanKind::Backward => bkwd_starts.push((e.microbatch, e.ts_us)),
-                    _ => {}
-                }
-            }
-            let mean = |samples: Vec<f64>| {
-                if samples.is_empty() {
-                    f64::NAN
-                } else {
-                    samples.iter().sum::<f64>() / samples.len() as f64
-                }
-            };
-            tau_fwd.push(mean(delay_slot_samples(&fwd_starts, &bkwd_starts, 1)));
-            tau_recomp.push(mean(delay_slot_samples(&recomp_starts, &bkwd_starts, 0)));
-        }
+    fold_windows(events, &cuts, |w, fold| {
+        let (t0, t1) = (t0(w as u64), cuts[w]);
+        let rows: Vec<_> = (0..n_stages as u32).map(|s| fold.stage(s)).collect();
+        let mean_util = rows.iter().map(|r| r.util(t1 - t0)).sum::<f64>() / n_stages as f64;
         out.push(WindowStats {
             t0_us: t0 - start,
             t1_us: t1 - start,
             bubble_fraction: 1.0 - mean_util,
-            tau_fwd,
-            tau_recomp,
+            tau_fwd: rows.iter().map(|r| r.tau_fwd.mean()).collect(),
+            tau_recomp: rows.iter().map(|r| r.tau_recomp.mean()).collect(),
         });
-    }
+    });
     out
 }
 
@@ -348,20 +300,14 @@ pub fn drift_text(events: &[TraceEvent], n_windows: usize, label: &str) -> Strin
         .collect();
     out.push_str(&format!("nominal tau_fwd per stage (slots): [{}]\n\n", noms.join(", ")));
     out.push_str("window          bubble   tau_fwd per stage (slots)\n");
+    let list = |ts: &[f64]| -> String {
+        let cells: Vec<String> =
+            ts.iter().map(|t| if t.is_finite() { format!("{t:.2}") } else { "-".into() }).collect();
+        cells.join(", ")
+    };
     for w in &windows {
-        let taus: Vec<String> = w
-            .tau_fwd
-            .iter()
-            .map(|t| if t.is_finite() { format!("{t:.2}") } else { "-".to_string() })
-            .collect();
-        let has_recomp = w.tau_recomp.iter().any(|t| t.is_finite());
-        let recomp = if has_recomp {
-            let rs: Vec<String> = w
-                .tau_recomp
-                .iter()
-                .map(|t| if t.is_finite() { format!("{t:.2}") } else { "-".to_string() })
-                .collect();
-            format!("   tau_recomp: [{}]", rs.join(", "))
+        let recomp = if w.tau_recomp.iter().any(|t| t.is_finite()) {
+            format!("   tau_recomp: [{}]", list(&w.tau_recomp))
         } else {
             String::new()
         };
@@ -370,7 +316,7 @@ pub fn drift_text(events: &[TraceEvent], n_windows: usize, label: &str) -> Strin
             fmt_ms(w.t0_us),
             fmt_ms(w.t1_us),
             w.bubble_fraction,
-            taus.join(", "),
+            list(&w.tau_fwd),
         ));
     }
     out
@@ -427,24 +373,17 @@ pub fn diff_text(
     for s in 0..stages {
         let sa = a.stages.get(s);
         let sb = b.stages.get(s);
-        let util = |st: Option<&crate::summary::StageTimeline>| {
-            st.map(|x| format!("{:.3}", x.utilization)).unwrap_or_else(|| "-".into())
+        let col = |st: Option<&StageTimeline>, f: fn(&StageTimeline) -> String| {
+            st.map_or_else(|| "-".to_string(), f)
         };
-        let wait = |st: Option<&crate::summary::StageTimeline>| {
-            st.map(|x| fmt_ms(x.wait_us)).unwrap_or_else(|| "-".into())
-        };
-        let tau = |st: Option<&crate::summary::StageTimeline>| {
-            st.map(|x| format!("{:.2}", x.measured_delay_slots)).unwrap_or_else(|| "-".into())
-        };
-        let taur = |st: Option<&crate::summary::StageTimeline>| {
-            st.map(|x| {
-                if x.measured_recomp_delay_slots > 0.0 {
-                    format!("{:.2}", x.measured_recomp_delay_slots)
-                } else {
-                    "-".into()
-                }
+        let util = |st| col(st, |x| format!("{:.3}", x.utilization));
+        let wait = |st| col(st, |x| fmt_ms(x.wait_us));
+        let tau = |st| col(st, |x| format!("{:.2}", x.measured_delay_slots));
+        let taur = |st| {
+            col(st, |x| match x.measured_recomp_delay_slots {
+                t if t > 0.0 => format!("{t:.2}"),
+                _ => "-".to_string(),
             })
-            .unwrap_or_else(|| "-".into())
         };
         out.push_str(&format!(
             "{s:>5}   {:>6} -> {:<6}   {:>7} -> {:<7}   {:>5} -> {:<5}   {:>5} -> {:<5}\n",
@@ -633,9 +572,9 @@ mod tests {
     }
 
     #[test]
-    fn windowed_stats_clip_straddling_spans() {
-        // One stage busy 0..40 of an 80 µs span: window 1 fully busy,
-        // window 2 fully idle.
+    fn windowed_stats_count_spans_in_their_end_window() {
+        // One stage busy 0..40 of an 80 µs span: both spans end at 40,
+        // so window 1 is fully busy and window 2 fully idle.
         let events = vec![
             span(SpanKind::Forward, 0, 0, 0, 40),
             span(SpanKind::Backward, 0, 0, 40, 0),
@@ -645,7 +584,7 @@ mod tests {
         assert_eq!(w.len(), 2);
         assert!((w[0].bubble_fraction - 0.0).abs() < 1e-9, "{w:?}");
         assert!((w[1].bubble_fraction - 1.0).abs() < 1e-9, "{w:?}");
-        // The forward starting in window 0 gets its τ sample there.
+        // The backward ending in window 0 lands its τ sample there.
         assert!((w[0].tau_fwd[0] - 1.0).abs() < 1e-9);
         assert!(w[1].tau_fwd[0].is_nan());
         let text = drift_text(&events, 2, "unit");

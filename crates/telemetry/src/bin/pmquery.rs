@@ -21,10 +21,10 @@
 
 use std::process::ExitCode;
 
+use pipemare_telemetry::journal::rollup_samples;
 use pipemare_telemetry::json::Value;
-use pipemare_telemetry::{
-    default_rules, merge_journals, AlertEngine, JournalEntry, JournalReader, MetricValue,
-};
+use pipemare_telemetry::top;
+use pipemare_telemetry::{default_rules, merge_journals, AlertEngine, JournalEntry, JournalReader};
 
 const USAGE: &str = "pmquery: historical queries over pipemare telemetry journals
 
@@ -121,16 +121,6 @@ fn fmt(v: f64, prec: usize) -> String {
         format!("{v:.prec$}")
     } else {
         "-".to_string()
-    }
-}
-
-fn pct(base: f64, cur: f64) -> String {
-    if !base.is_finite() || !cur.is_finite() || (base == 0.0 && cur == 0.0) {
-        "0%".to_string()
-    } else if base == 0.0 {
-        "new".to_string()
-    } else {
-        format!("{:+.1}%", 100.0 * (cur - base) / base)
     }
 }
 
@@ -234,7 +224,7 @@ fn cmd_alerts(opts: &Options) -> Result<String, String> {
     for reader in &readers {
         // One engine per journal: hysteresis and counter deltas are
         // per-process state, replayed on that journal's own clock.
-        let engine = AlertEngine::new(default_rules());
+        let engine = AlertEngine::new(default_rules()).for_stages(reader.n_stages);
         let (entries, _) = reader.samples().map_err(|e| format!("pmquery: {e}"))?;
         any_samples |= !entries.is_empty();
         for JournalEntry { sample, .. } in &entries {
@@ -281,48 +271,24 @@ fn cmd_alerts(opts: &Options) -> Result<String, String> {
     Ok(out)
 }
 
-/// Per-stage and counter aggregates over one journal's history:
-/// window-weighted mean util and τ per stage, plus each counter's final
-/// (cumulative) value.
-struct RunAggregate {
-    stages: Vec<(f64, f64)>, // (mean util, mean tau)
-    counters: Vec<(String, u64)>,
-}
-
-fn aggregate(reader: &JournalReader) -> Result<RunAggregate, String> {
+/// One journal's whole history as a scrape-shaped payload for
+/// [`top::delta_json`]: the journal's own rollup over one run-wide
+/// bucket (window-weighted util and τ per stage, the final counters).
+fn run_payload(dir: &str) -> Result<Value, String> {
+    let reader = JournalReader::open(dir).map_err(|e| format!("pmquery: {dir}: {e}"))?;
     let (entries, _) = reader.samples().map_err(|e| format!("pmquery: {e}"))?;
-    if entries.is_empty() {
-        return Err(format!("pmquery: {}: journal holds no samples", reader.dir().display()));
-    }
-    let n_stages = entries.iter().map(|e| e.sample.stages.len()).max().unwrap_or(0);
-    let mut stages = Vec::with_capacity(n_stages);
-    for s in 0..n_stages {
-        let mut util = (0.0, 0.0); // (weighted sum, weight)
-        let mut tau = (0.0, 0.0);
-        for e in &entries {
-            let Some(st) = e.sample.stages.get(s) else { continue };
-            let w = e.sample.window_us.max(1) as f64;
-            if st.util.is_finite() {
-                util = (util.0 + st.util * w, util.1 + w);
-            }
-            if st.tau.is_finite() {
-                tau = (tau.0 + st.tau * w, tau.1 + w);
-            }
-        }
-        let mean = |(num, den): (f64, f64)| if den > 0.0 { num / den } else { f64::NAN };
-        stages.push((mean(util), mean(tau)));
-    }
-    let last = &entries.last().expect("nonempty").sample;
-    let counters = last
-        .metrics
-        .metrics
+    let whole = rollup_samples(entries.iter().map(|e| &e.sample), u64::MAX);
+    let Some(run) = whole.first() else {
+        return Err(format!("pmquery: {dir}: journal holds no samples"));
+    };
+    let stages = run
+        .stages
         .iter()
-        .filter_map(|(name, v)| match v {
-            MetricValue::Counter(c) => Some((name.clone(), *c)),
-            _ => None,
+        .map(|st| {
+            Value::obj().set("stage", st.stage as u64).set("util", st.util).set("tau", st.tau)
         })
         .collect();
-    Ok(RunAggregate { stages, counters })
+    Ok(Value::obj().set("stages", Value::Arr(stages)).set("metrics", run.metrics.to_json()))
 }
 
 fn cmd_diff(opts: &Options) -> Result<String, String> {
@@ -332,67 +298,12 @@ fn cmd_diff(opts: &Options) -> Result<String, String> {
     let [dir] = opts.dirs.as_slice() else {
         return Err("pmquery: diff takes exactly one journal plus --baseline".to_string());
     };
-    let cur = aggregate(&JournalReader::open(dir).map_err(|e| format!("pmquery: {dir}: {e}"))?)?;
-    let base = aggregate(
-        &JournalReader::open(baseline_dir).map_err(|e| format!("pmquery: {baseline_dir}: {e}"))?,
-    )?;
+    let delta = top::delta_json(&run_payload(dir)?, &run_payload(baseline_dir)?);
     if opts.json {
-        let mut stage_rows = Vec::new();
-        for i in 0..cur.stages.len().max(base.stages.len()) {
-            let c = cur.stages.get(i).copied().unwrap_or((f64::NAN, f64::NAN));
-            let b = base.stages.get(i).copied().unwrap_or((f64::NAN, f64::NAN));
-            stage_rows.push(
-                Value::obj()
-                    .set("stage", i as u64)
-                    .set("util_base", b.0)
-                    .set("util_cur", c.0)
-                    .set("tau_base", b.1)
-                    .set("tau_cur", c.1),
-            );
-        }
-        let mut counters = Value::obj();
-        for (name, c) in &cur.counters {
-            let b = base.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v);
-            if let Some(b) = b {
-                counters = counters.set(name.as_str(), Value::obj().set("base", b).set("cur", *c));
-            }
-        }
-        return Ok(Value::obj()
-            .set("stages", Value::Arr(stage_rows))
-            .set("counters", counters)
-            .to_compact()
-            + "\n");
+        return Ok(delta.to_compact() + "\n");
     }
-    let mut out = String::new();
-    out.push_str(&format!("== pmquery diff: {baseline_dir} (base) -> {dir} (cur) ==\n"));
-    if !cur.stages.is_empty() || !base.stages.is_empty() {
-        out.push_str("stage   util base->cur        tau base->cur\n");
-        for i in 0..cur.stages.len().max(base.stages.len()) {
-            let c = cur.stages.get(i).copied().unwrap_or((f64::NAN, f64::NAN));
-            let b = base.stages.get(i).copied().unwrap_or((f64::NAN, f64::NAN));
-            out.push_str(&format!(
-                "{i:>5}   {:>5} -> {:<5} ({})   {:>5} -> {:<5} ({})\n",
-                fmt(b.0, 3),
-                fmt(c.0, 3),
-                pct(b.0, c.0),
-                fmt(b.1, 2),
-                fmt(c.1, 2),
-                pct(b.1, c.1),
-            ));
-        }
-    }
-    let mut any = false;
-    for (name, c) in &cur.counters {
-        let Some(b) = base.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v) else {
-            continue;
-        };
-        if !any {
-            out.push_str("counter                      base -> cur\n");
-            any = true;
-        }
-        out.push_str(&format!("{name:<26} {b:>7} -> {c:<7} ({})\n", pct(b as f64, *c as f64),));
-    }
-    Ok(out)
+    Ok(format!("== pmquery diff: {baseline_dir} (base) -> {dir} (cur) ==\n")
+        + &top::delta_text(&delta))
 }
 
 fn run() -> Result<(), String> {

@@ -42,10 +42,11 @@ use std::sync::{Arc, Mutex};
 
 use pipemare_theory::{lemma1_alpha_margin, quantized_secant_denominator, t2_alpha_margin};
 
-use crate::event::{SpanKind, TraceEvent};
+use crate::event::TraceEvent;
+use crate::fold::{end_order, StageFold};
 use crate::json::Value;
 use crate::metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
-use crate::summary::{delay_slot_samples, PipelineTimelineSummary};
+use crate::summary::PipelineTimelineSummary;
 
 /// How bad a health event is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -736,32 +737,22 @@ impl HealthMonitor {
         self.inner.lock().unwrap().black_boxes.push((step, path.to_string()));
     }
 
-    /// Feeds measured per-microbatch delay samples from an executor
-    /// trace into the per-stage `tau_fwd` / `tau_recomp` histograms
-    /// (units: microbatch slots, comparable to the nominal
-    /// `2(P−1−s)+1` and `2(S − s mod S)`).
+    /// Feeds the τ samples a [`StageFold`] pairs over an executor trace
+    /// into the per-stage `tau_fwd` / `tau_recomp` histograms (units:
+    /// microbatch slots, comparable to the nominal `2(P−1−s)+1` and
+    /// `2(S − s mod S)`).
     pub fn ingest_events(&self, events: &[TraceEvent]) {
         if self.instruments.is_empty() {
             return;
         }
-        for (s, inst) in self.instruments.iter().enumerate() {
-            let s = s as u32;
-            let mut fwd_starts = Vec::new();
-            let mut bkwd_starts = Vec::new();
-            let mut recomp_starts = Vec::new();
-            for e in events.iter().filter(|e| e.stage == s) {
-                match e.kind {
-                    SpanKind::Forward => fwd_starts.push((e.microbatch, e.ts_us)),
-                    SpanKind::Backward => bkwd_starts.push((e.microbatch, e.ts_us)),
-                    SpanKind::Recompute => recomp_starts.push((e.microbatch, e.ts_us)),
-                    _ => {}
-                }
+        let mut fold = StageFold::default();
+        for tau in end_order(events).into_iter().filter_map(|e| fold.push(e)) {
+            let Some(inst) = self.instruments.get(tau.stage as usize) else { continue };
+            if let Some(t) = tau.fwd {
+                inst.tau_fwd.observe(t as f64);
             }
-            for sample in delay_slot_samples(&fwd_starts, &bkwd_starts, 1) {
-                inst.tau_fwd.observe(sample);
-            }
-            for sample in delay_slot_samples(&recomp_starts, &bkwd_starts, 0) {
-                inst.tau_recomp.observe(sample);
+            if let Some(t) = tau.recomp {
+                inst.tau_recomp.observe(t as f64);
             }
         }
     }
@@ -1038,6 +1029,7 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::SpanKind;
 
     fn stage_obs(alpha: f64, tau: f64) -> StageObservation {
         StageObservation {

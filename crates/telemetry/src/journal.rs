@@ -46,6 +46,7 @@
 //! bench. Rotation, compaction and retention also run inline on the
 //! ticker thread; they touch at most one segment per append.
 
+use std::collections::BTreeSet;
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -530,8 +531,9 @@ impl JournalWriter {
 /// window-weighted means for rates (util, τ, span means), sums for
 /// totals (waits, events, window coverage), and the *last* sample's
 /// metrics snapshot (counters are cumulative and gauges are "current",
-/// so last-wins is the faithful downsample for both).
-fn rollup_samples<'a>(
+/// so last-wins is the faithful downsample for both). `pmquery diff`
+/// aggregates a whole run as one `u64::MAX`-wide bucket.
+pub fn rollup_samples<'a>(
     samples: impl Iterator<Item = &'a LiveSample>,
     window_us: u64,
 ) -> Vec<LiveSample> {
@@ -541,12 +543,15 @@ fn rollup_samples<'a>(
     let flush = |acc: &mut Option<(u64, Vec<&'a LiveSample>)>, out: &mut Vec<LiveSample>| {
         let Some((_, members)) = acc.take() else { return };
         let Some(last) = members.last() else { return };
-        let n_stages = members.iter().map(|s| s.stages.len()).max().unwrap_or(0);
-        let mut stages = Vec::with_capacity(n_stages);
-        for s in 0..n_stages {
+        // By stage id, not position: a worker's sample has one row.
+        let ids: BTreeSet<u32> =
+            members.iter().flat_map(|m| &m.stages).map(|st| st.stage).collect();
+        let mut stages = Vec::with_capacity(ids.len());
+        for s in ids {
             let rows: Vec<(&StageLive, f64)> = members
                 .iter()
-                .filter_map(|m| m.stages.get(s).map(|st| (st, m.window_us.max(1) as f64)))
+                .flat_map(|m| m.stages.iter().map(move |st| (st, m.window_us.max(1) as f64)))
+                .filter(|(st, _)| st.stage == s)
                 .collect();
             let wmean = |f: fn(&StageLive) -> f64| {
                 let (mut num, mut den) = (0.0, 0.0);
@@ -564,7 +569,7 @@ fn rollup_samples<'a>(
                 }
             };
             stages.push(StageLive {
-                stage: s as u32,
+                stage: s,
                 util: wmean(|st| st.util),
                 fwd_us: wmean(|st| st.fwd_us),
                 bkwd_us: wmean(|st| st.bkwd_us),

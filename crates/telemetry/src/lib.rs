@@ -21,6 +21,8 @@
 //!   snapshot export.
 //! * [`export`]: Chrome `trace_event` JSON (loadable in
 //!   `chrome://tracing` / Perfetto) and JSONL event logs.
+//! * [`fold`]: [`StageFold`], the one per-stage fold every view below
+//!   reads utilization, waits and measured τ from.
 //! * [`summary`]: [`PipelineTimelineSummary`] — per-stage utilization,
 //!   bubble fraction, and measured-vs-nominal forward delay derived from
 //!   a recorded trace.
@@ -35,8 +37,8 @@
 //!   traces (also shipped as the `pmtrace` binary).
 //! * [`store`]: the live plane — [`LiveStore`], a fixed-size ring of
 //!   periodic snapshots (counter deltas, per-stage utilization and τ
-//!   drift folded incrementally from a flight recorder) sampled by the
-//!   background [`StoreTicker`].
+//!   drift folded incrementally from a flight recorder or drained
+//!   telemetry batches) sampled by the background [`StoreTicker`].
 //! * [`journal`]: the durable plane — [`JournalWriter`] appends every
 //!   ticker sample as a length-prefixed binary frame to rotating
 //!   on-disk segments, compacts old raw segments into downsampled
@@ -83,6 +85,7 @@ pub mod analyze;
 pub mod event;
 pub mod export;
 pub mod flight;
+pub mod fold;
 pub mod health;
 pub mod journal;
 pub mod json;
@@ -106,6 +109,7 @@ pub use export::{
     write_jsonl,
 };
 pub use flight::{FlightRecorder, DEFAULT_CAPACITY as FLIGHT_DEFAULT_CAPACITY};
+pub use fold::{StageFold, StageWindow, TauSample};
 pub use health::{
     HealthConfig, HealthEvent, HealthEventKind, HealthMonitor, RunReport, Severity,
     StageObservation, StageVerdict, StepObservation,

@@ -4,38 +4,41 @@
 //! The post-mortem loop (flight recorder → black box → `pmtrace`) only
 //! answers questions after a run stops. [`LiveStore`] is the *while it
 //! runs* counterpart: a background [`StoreTicker`] calls
-//! [`LiveStore::sample`] every period, folding the events recorded
-//! since the previous tick into per-stage utilization, compute means
-//! and measured τ delay, alongside a full metrics snapshot (counters,
-//! gauges, histogram summaries). Samples land in a fixed-size ring, so
-//! memory is bounded no matter how long the run lives.
+//! [`LiveStore::sample`] every period, reading the per-stage
+//! utilization, compute means and measured τ delay of the events since
+//! the previous tick off the store's [`StageFold`], alongside a full
+//! metrics snapshot (counters, gauges, histogram summaries). Samples
+//! land in a fixed-size ring, so memory is bounded no matter how long
+//! the run lives.
 //!
 //! ## The hot path is never blocked
 //!
 //! `sample()` reads the flight recorder through its seqlock snapshot
 //! and the registry through per-instrument atomics — writers (stage
 //! threads, the serving batcher) never wait on a sampler. The store's
-//! own mutex is only ever taken by the ticker and by scrapers
-//! ([`LiveStore::scrape_json`]), both off the hot path. The price is
+//! own mutex is taken by the ticker, by scrapers
+//! ([`LiveStore::scrape_json`]) and once per telemetry flush by
+//! [`LiveStore::ingest`], which can wait out at most one sample. The price is
 //! bounded staleness: a scrape sees the world as of the latest tick,
 //! at most one sample period (plus the sample cost) old.
 //!
 //! ## Incremental, not post-hoc
 //!
-//! Each sample only folds events whose span *ended* after the previous
-//! tick, so per-sample cost is proportional to the tick's event volume
-//! (bounded by the flight-recorder ring capacity), not run length.
-//! τ measurements need a forward and its backward inside one window;
-//! pairs split across a tick boundary are skipped — with windows much
-//! longer than a microbatch slot this biases τ by at most one window's
-//! edge pairs, and the per-stage row reports how many pairs it used.
+//! The store keeps its open window in a [`StageFold`]. A source that
+//! keeps its events (a flight ring, [`LiveStore::with_events`]) is read
+//! at each tick, folding only spans that *ended* after the previous
+//! tick's latest end, so a sample costs the tick's event volume, not
+//! run length. A source that drains its events (a worker's telemetry
+//! batch, the orchestrator's merged batches) feeds [`LiveStore::ingest`]
+//! as it drains. Unpaired forwards carry across ticks.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use crate::alert::AlertEngine;
-use crate::event::{EventSource, SpanKind, TraceEvent};
+use crate::event::{EventSource, TraceEvent};
+use crate::fold::{StageFold, StageWindow};
 use crate::json::Value;
 use crate::metrics::{MetricValue, MetricsRegistry, MetricsSnapshot};
 use crate::summary::PipelineTimelineSummary;
@@ -64,13 +67,30 @@ pub struct StageLive {
     pub recomp_us: f64,
     /// Total queue-wait µs in the window.
     pub wait_us: u64,
-    /// Measured forward delay in microbatch slots over in-window
-    /// fwd/bkwd pairs (NaN when no pair completed in the window).
+    /// Measured forward delay in microbatch slots over the backwards
+    /// in the window (NaN when none paired with a forward).
     pub tau: f64,
     /// Number of fwd/bkwd pairs the τ estimate used.
     pub tau_pairs: usize,
     /// Events folded for this stage in the window.
     pub events: u64,
+}
+
+impl StageLive {
+    /// Stage `stage`'s row over a `window_us`-long fold window.
+    pub fn from_window(stage: u32, w: &StageWindow, window_us: u64) -> Self {
+        StageLive {
+            stage,
+            util: w.util(window_us),
+            fwd_us: w.fwd.mean(),
+            bkwd_us: w.bkwd.mean(),
+            recomp_us: w.recomp.mean(),
+            wait_us: w.wait_us(),
+            tau: w.tau_fwd.mean(),
+            tau_pairs: w.tau_fwd.count as usize,
+            events: w.events,
+        }
+    }
 }
 
 /// One periodic sample: the live per-stage view plus a full metrics
@@ -98,10 +118,12 @@ struct StoreInner {
     /// End of the previous window on the store clock.
     last_ts_us: u64,
     /// Latest event end seen at the previous tick, on the *recorder's*
-    /// clock — the fold cutoff. Event timestamps come from the event
-    /// source's own timebase, so "new since last tick" must be judged
-    /// there, not on the store clock.
-    last_event_end_us: u64,
+    /// clock — the fold cutoff (`None` before the first event). Event
+    /// timestamps come from the event source's own timebase, so "new
+    /// since last tick" must be judged there, not on the store clock.
+    last_event_end_us: Option<u64>,
+    /// The open window.
+    fold: StageFold,
     max_cost_us: u64,
 }
 
@@ -110,6 +132,8 @@ struct StoreInner {
 pub struct LiveStore {
     role: String,
     n_stages: usize,
+    /// The one stage this process owns, when it owns one.
+    own_stage: Option<u32>,
     capacity: usize,
     registry: Option<Arc<MetricsRegistry>>,
     events: Option<Arc<dyn EventSource + Send + Sync>>,
@@ -136,6 +160,7 @@ impl LiveStore {
         LiveStore {
             role: role.to_string(),
             n_stages,
+            own_stage: None,
             capacity,
             registry: None,
             events: None,
@@ -145,7 +170,8 @@ impl LiveStore {
                 ring: VecDeque::new(),
                 seq: 0,
                 last_ts_us: 0,
-                last_event_end_us: 0,
+                last_event_end_us: None,
+                fold: StageFold::default(),
                 max_cost_us: 0,
             }),
         }
@@ -157,12 +183,31 @@ impl LiveStore {
         self
     }
 
-    /// Attaches an event source (typically a
+    /// Attaches an event source that keeps its events (typically a
     /// [`crate::FlightRecorder`]); every sample folds the events whose
-    /// spans ended inside its window.
+    /// spans ended since the previous one. A source that drains its
+    /// events feeds them through [`LiveStore::ingest`] instead.
     pub fn with_events(mut self, events: Arc<dyn EventSource + Send + Sync>) -> Self {
         self.events = Some(events);
         self
+    }
+
+    /// Limits the per-stage rows to `stage`, the one stage this process
+    /// serves (a stage worker). The nominal τ column still uses the
+    /// run's stage count.
+    pub fn with_stage(mut self, stage: u32) -> Self {
+        self.own_stage = Some(stage);
+        self
+    }
+
+    /// Folds events drained from a recorder into the open window. Each
+    /// stage's events must arrive in start order, as recorders return
+    /// them.
+    pub fn ingest(&self, events: &[TraceEvent]) {
+        let mut inner = self.inner.lock().unwrap();
+        for e in events {
+            inner.fold.push(e);
+        }
     }
 
     /// Attaches an alert engine: every [`LiveStore::sample`] evaluates
@@ -208,36 +253,34 @@ impl LiveStore {
         self.len() == 0
     }
 
-    /// Takes one sample: folds the window's events, snapshots the
-    /// registry, and pushes into the ring (evicting the oldest when
-    /// full). Returns the new sample's sequence number.
+    /// Takes one sample: closes the open window into per-stage rows,
+    /// snapshots the registry, and pushes into the ring (evicting the
+    /// oldest when full). Returns the new sample's sequence number.
     pub fn sample(&self) -> u64 {
         let t0 = Instant::now();
-        let now_us = self.now_us();
-        let (last_ts, cutoff) = {
-            let inner = self.inner.lock().unwrap();
-            (inner.last_ts_us, inner.last_event_end_us)
-        };
-        let window_us = now_us.saturating_sub(last_ts);
-        let mut new_cutoff = cutoff;
-        let stages = match &self.events {
-            Some(src) => {
-                let events = src.snapshot_events();
-                new_cutoff =
-                    events.iter().map(|e| e.ts_us + e.dur_us).max().unwrap_or(0).max(cutoff);
-                fold_window(&events, cutoff, window_us.max(1), self.n_stages)
-            }
-            None => Vec::new(),
-        };
+        let kept = self.events.as_ref().map(|src| src.snapshot_events());
         let metrics = match &self.registry {
             Some(reg) => reg.snapshot(),
             None => MetricsSnapshot::default(),
         };
-        let sample_cost_us = t0.elapsed().as_micros() as u64;
         let mut inner = self.inner.lock().unwrap();
+        let now_us = self.now_us();
+        let window_us = now_us.saturating_sub(inner.last_ts_us);
+        if let Some(events) = kept {
+            let cutoff = inner.last_event_end_us;
+            for e in &events {
+                let end = e.ts_us + e.dur_us;
+                if cutoff.is_none_or(|c| end > c) {
+                    inner.fold.push(e);
+                    inner.last_event_end_us = Some(end.max(inner.last_event_end_us.unwrap_or(0)));
+                }
+            }
+        }
+        let stages = self.rows(&inner.fold, window_us.max(1));
+        inner.fold.end_window();
+        let sample_cost_us = t0.elapsed().as_micros() as u64;
         inner.seq += 1;
         inner.last_ts_us = now_us;
-        inner.last_event_end_us = new_cutoff;
         inner.max_cost_us = inner.max_cost_us.max(sample_cost_us);
         let seq = inner.seq;
         if inner.ring.len() == self.capacity {
@@ -258,6 +301,24 @@ impl LiveStore {
             inner.ring.push_back(sample);
         }
         seq
+    }
+
+    /// The window's stage rows: the owned stage alone, else see
+    /// [`MAX_DENSE_STAGE_ROWS`].
+    fn rows(&self, fold: &StageFold, window_us: u64) -> Vec<StageLive> {
+        let stages: Vec<u32> = match self.own_stage {
+            Some(s) => vec![s],
+            None => {
+                let active: Vec<u32> = fold.compute_stages().collect();
+                let dense = self.n_stages.max(active.last().map_or(0, |&s| s as usize + 1));
+                if dense <= MAX_DENSE_STAGE_ROWS {
+                    (0..dense as u32).collect()
+                } else {
+                    active
+                }
+            }
+        };
+        stages.into_iter().map(|s| StageLive::from_window(s, &fold.stage(s), window_us)).collect()
     }
 
     /// The most recent sample, if any.
@@ -360,84 +421,6 @@ impl LiveStore {
 /// a loop.
 pub const MAX_DENSE_STAGE_ROWS: usize = 1 << 10;
 
-/// Folds the events whose spans ended after `since_us` into per-stage
-/// aggregates over a `window_us`-long window.
-fn fold_window(
-    events: &[TraceEvent],
-    since_us: u64,
-    window_us: u64,
-    n_stages: usize,
-) -> Vec<StageLive> {
-    let active: BTreeSet<u32> = events
-        .iter()
-        .filter(|e| matches!(e.kind, SpanKind::Forward | SpanKind::Backward))
-        .map(|e| e.stage)
-        .collect();
-    let dense = n_stages.max(active.last().map_or(0, |&s| s as usize + 1));
-    let stages: Vec<u32> = if dense <= MAX_DENSE_STAGE_ROWS {
-        (0..dense as u32).collect()
-    } else {
-        active.into_iter().collect()
-    };
-    let mut out = Vec::with_capacity(stages.len());
-    for s in stages {
-        let mut busy_us = 0u64;
-        let mut wait_us = 0u64;
-        let mut fwd = (0u64, 0u64); // (total µs, count)
-        let mut bkwd = (0u64, 0u64);
-        let mut recomp = (0u64, 0u64);
-        let mut fwd_starts = Vec::new();
-        let mut bkwd_starts = Vec::new();
-        let mut n_events = 0u64;
-        for e in events.iter().filter(|e| e.stage == s && e.ts_us + e.dur_us > since_us) {
-            n_events += 1;
-            match e.kind {
-                SpanKind::Forward => {
-                    busy_us += e.dur_us;
-                    fwd = (fwd.0 + e.dur_us, fwd.1 + 1);
-                    fwd_starts.push((e.microbatch, e.ts_us));
-                }
-                SpanKind::Backward => {
-                    busy_us += e.dur_us;
-                    bkwd = (bkwd.0 + e.dur_us, bkwd.1 + 1);
-                    bkwd_starts.push((e.microbatch, e.ts_us));
-                }
-                SpanKind::Recompute => {
-                    busy_us += e.dur_us;
-                    recomp = (recomp.0 + e.dur_us, recomp.1 + 1);
-                }
-                SpanKind::QueueWaitFwd | SpanKind::QueueWaitBkwd => wait_us += e.dur_us,
-                _ => {}
-            }
-        }
-        let mean = |(total, count): (u64, u64)| {
-            if count == 0 {
-                f64::NAN
-            } else {
-                total as f64 / count as f64
-            }
-        };
-        let tau_samples = crate::summary::delay_slot_samples(&fwd_starts, &bkwd_starts, 1);
-        let tau = if tau_samples.is_empty() {
-            f64::NAN
-        } else {
-            tau_samples.iter().sum::<f64>() / tau_samples.len() as f64
-        };
-        out.push(StageLive {
-            stage: s,
-            util: (busy_us as f64 / window_us as f64).min(1.0),
-            fwd_us: mean(fwd),
-            bkwd_us: mean(bkwd),
-            recomp_us: mean(recomp),
-            wait_us,
-            tau,
-            tau_pairs: tau_samples.len(),
-            events: n_events,
-        });
-    }
-    out
-}
-
 /// A background thread sampling a [`LiveStore`] at a fixed period.
 ///
 /// Stop promptly with [`StoreTicker::stop`]; dropping the handle also
@@ -503,7 +486,7 @@ impl Drop for StoreTicker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Recorder, NO_TRACE};
+    use crate::event::{Recorder, SpanKind, NO_TRACE};
     use crate::flight::FlightRecorder;
 
     fn record_pair(rec: &FlightRecorder, stage: u32, mb: u32, t0: u64) {

@@ -1,11 +1,13 @@
 //! Derived pipeline timeline analysis.
 //!
-//! Folds a recorded event stream into per-stage utilization, the overall
-//! bubble fraction, and a measured per-stage forward delay to compare
-//! against the paper's nominal `τ_fwd,i = (2(P−i)+1)/N`. This is how a
-//! perf PR proves its win: record, summarize, diff against the model.
+//! The whole-trace view of a [`StageFold`]: per-stage utilization, the
+//! overall bubble fraction, and a measured per-stage forward delay to
+//! compare against the paper's nominal `τ_fwd,i = (2(P−i)+1)/N`. This
+//! is how a perf PR proves its win: record, summarize, diff against the
+//! model.
 
-use crate::event::{SpanKind, TraceEvent};
+use crate::event::TraceEvent;
+use crate::fold::{fold_windows, StageFold};
 use crate::json::Value;
 
 /// Per-stage aggregate of one recorded run.
@@ -29,10 +31,10 @@ pub struct StageTimeline {
     /// Fraction of the run span this stage spent computing.
     pub utilization: f64,
     /// Measured mean forward delay in microbatch slots: the number of
-    /// weight updates (backward completions at this stage, its own
-    /// included) between a microbatch's forward start and its backward
-    /// start. Comparable to the nominal `2(P−1−s)+1` slots; divide by
-    /// `N` for optimizer steps.
+    /// weight updates (backward starts at this stage, its own included)
+    /// between a microbatch's forward start and its backward start, as
+    /// [`crate::fold`] defines it. Comparable to the nominal
+    /// `2(P−1−s)+1` slots; divide by `N` for optimizer steps.
     pub measured_delay_slots: f64,
     /// Measured mean recompute delay in microbatch slots: the number of
     /// backward starts at this stage between a microbatch's replay start
@@ -59,82 +61,46 @@ pub struct PipelineTimelineSummary {
 }
 
 impl PipelineTimelineSummary {
-    /// Builds a summary from a recorded event stream.
+    /// Builds a summary from a recorded event stream: one
+    /// [`StageFold`] window over the whole trace.
     ///
     /// Stages are discovered from `Forward`/`Backward` events; traces
     /// with no compute events produce an empty summary.
     pub fn from_events(events: &[TraceEvent]) -> Self {
-        let n_stages = events
-            .iter()
-            .filter(|e| matches!(e.kind, SpanKind::Forward | SpanKind::Backward))
-            .map(|e| e.stage + 1)
-            .max()
-            .unwrap_or(0) as usize;
-        if n_stages == 0 {
-            return PipelineTimelineSummary {
-                stages: Vec::new(),
-                span_us: 0,
-                microbatches: 0,
-                bubble_fraction: 0.0,
-            };
-        }
-        let start = events.iter().map(|e| e.ts_us).min().unwrap();
-        let end = events.iter().map(|e| e.ts_us + e.dur_us).max().unwrap();
-        let span_us = end - start;
+        let mut summary = None;
+        fold_windows(events, &[u64::MAX], |_, fold| summary = Some(Self::from_fold(fold)));
+        summary.expect("one window")
+    }
 
-        let mut stages = Vec::with_capacity(n_stages);
-        for s in 0..n_stages as u32 {
-            let mut fwd_us = 0;
-            let mut bkwd_us = 0;
-            let mut recomp_us = 0;
-            let mut wait_fwd_us = 0;
-            let mut wait_bkwd_us = 0;
-            // (microbatch, ts) pairs for delay measurement.
-            let mut fwd_starts = Vec::new();
-            let mut bkwd_starts = Vec::new();
-            let mut recomp_starts = Vec::new();
-            for e in events.iter().filter(|e| e.stage == s) {
-                match e.kind {
-                    SpanKind::Forward => {
-                        fwd_us += e.dur_us;
-                        fwd_starts.push((e.microbatch, e.ts_us));
-                    }
-                    SpanKind::Backward => {
-                        bkwd_us += e.dur_us;
-                        bkwd_starts.push((e.microbatch, e.ts_us));
-                    }
-                    SpanKind::Recompute => {
-                        recomp_us += e.dur_us;
-                        recomp_starts.push((e.microbatch, e.ts_us));
-                    }
-                    SpanKind::QueueWaitFwd => wait_fwd_us += e.dur_us,
-                    SpanKind::QueueWaitBkwd => wait_bkwd_us += e.dur_us,
-                    _ => {}
+    /// The summary view of a fold's open window.
+    fn from_fold(fold: &StageFold) -> Self {
+        let n_stages = fold.compute_stages().last().map_or(0, |s| s + 1);
+        let span_us = fold.span.filter(|_| n_stages > 0).map_or(0, |(lo, hi)| hi - lo);
+        // τ means read 0 (not NaN) on stages without a sample.
+        let stages: Vec<StageTimeline> = (0..n_stages)
+            .map(|s| {
+                let w = fold.stage(s);
+                StageTimeline {
+                    stage: s,
+                    fwd_us: w.fwd.sum,
+                    bkwd_us: w.bkwd.sum,
+                    recomp_us: w.recomp.sum,
+                    wait_us: w.wait_us(),
+                    wait_fwd_us: w.wait_fwd_us,
+                    wait_bkwd_us: w.wait_bkwd_us,
+                    utilization: w.util(span_us),
+                    measured_delay_slots: w.tau_fwd.mean().max(0.0),
+                    measured_recomp_delay_slots: w.tau_recomp.mean().max(0.0),
                 }
-            }
-            let utilization = if span_us == 0 {
-                0.0
-            } else {
-                (fwd_us + bkwd_us + recomp_us) as f64 / span_us as f64
-            };
-            stages.push(StageTimeline {
-                stage: s,
-                fwd_us,
-                bkwd_us,
-                recomp_us,
-                wait_us: wait_fwd_us + wait_bkwd_us,
-                wait_fwd_us,
-                wait_bkwd_us,
-                utilization,
-                measured_delay_slots: measured_delay_slots(&fwd_starts, &bkwd_starts),
-                measured_recomp_delay_slots: backward_starts_between(&recomp_starts, &bkwd_starts),
-            });
+            })
+            .collect();
+        let util_sum: f64 = stages.iter().map(|st| st.utilization).sum();
+        PipelineTimelineSummary {
+            bubble_fraction: if n_stages == 0 { 0.0 } else { 1.0 - util_sum / n_stages as f64 },
+            stages,
+            span_us,
+            microbatches: fold.stage(0).bkwd.count as usize,
         }
-
-        let microbatches =
-            events.iter().filter(|e| e.kind == SpanKind::Backward && e.stage == 0).count();
-        let mean_util = stages.iter().map(|st| st.utilization).sum::<f64>() / n_stages as f64;
-        PipelineTimelineSummary { stages, span_us, microbatches, bubble_fraction: 1.0 - mean_util }
     }
 
     /// The throughput model's bubble fraction for a `P`-stage pipeline
@@ -189,60 +155,10 @@ impl PipelineTimelineSummary {
     }
 }
 
-/// Per-microbatch delay samples in slots: for each microbatch with both a
-/// start in `starts` and a backward start, the number of *other* backward
-/// starts at this stage in `[start(m), bkwd_start(m))`, plus `own_update`
-/// (1 for forward delays — a microbatch's staleness includes its own
-/// update — 0 for replay delays, which read weights this stage's last
-/// backward already wrote). The health monitor feeds these raw samples
-/// into per-stage delay histograms.
-pub(crate) fn delay_slot_samples(
-    starts: &[(u32, u64)],
-    bkwd_starts: &[(u32, u64)],
-    own_update: usize,
-) -> Vec<f64> {
-    let mut samples = Vec::new();
-    for &(mb, start_ts) in starts {
-        let Some(&(_, bkwd_ts)) = bkwd_starts.iter().find(|(b, _)| *b == mb) else {
-            continue;
-        };
-        let between = bkwd_starts
-            .iter()
-            .filter(|&&(b, ts)| b != mb && ts >= start_ts && ts < bkwd_ts)
-            .count();
-        samples.push((between + own_update) as f64);
-    }
-    samples
-}
-
-fn mean_or_zero(samples: &[f64]) -> f64 {
-    if samples.is_empty() {
-        0.0
-    } else {
-        samples.iter().sum::<f64>() / samples.len() as f64
-    }
-}
-
-/// Mean over microbatches of the number of backward starts at this stage
-/// in `[fwd_start(m), bkwd_start(m))`, plus one for the microbatch's own
-/// update — the executable analogue of Table 1's `2(P−i)+1` slot delay.
-fn measured_delay_slots(fwd_starts: &[(u32, u64)], bkwd_starts: &[(u32, u64)]) -> f64 {
-    mean_or_zero(&delay_slot_samples(fwd_starts, bkwd_starts, 1))
-}
-
-/// Mean over microbatches with a replay of the number of backward starts
-/// at this stage in `[recomp_start(m), bkwd_start(m))` — the executable
-/// analogue of App. D's `2(S − s mod S)` recompute delay (no `+1` here:
-/// the replay reads weights already updated by this stage's own last
-/// backward, unlike the forward whose staleness includes its own update).
-fn backward_starts_between(recomp_starts: &[(u32, u64)], bkwd_starts: &[(u32, u64)]) -> f64 {
-    mean_or_zero(&delay_slot_samples(recomp_starts, bkwd_starts, 0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::NO_MICROBATCH;
+    use crate::event::{SpanKind, NO_MICROBATCH};
 
     fn span(kind: SpanKind, stage: u32, mb: u32, ts: u64, dur: u64) -> TraceEvent {
         TraceEvent { kind, track: stage, stage, microbatch: mb, ts_us: ts, dur_us: dur, trace: 0 }

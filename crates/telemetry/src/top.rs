@@ -194,48 +194,42 @@ pub fn render_many(snaps: &[(String, Value)]) -> String {
 /// payload, reusing the `pmtrace diff` percentage rendering. Compares
 /// per-stage utilization/τ and every counter both sides share.
 pub fn render_delta(label: &str, cur: &Value, base: &Value) -> String {
+    format!("== pmtop delta: {label} (baseline -> current) ==\n")
+        + &delta_text(&delta_json(cur, base))
+}
+
+/// Renders a [`delta_json`] object as its stage and counter tables
+/// (`pmtop --baseline`, `pmquery diff`).
+pub fn delta_text(delta: &Value) -> String {
     let mut out = String::new();
-    out.push_str(&format!("== pmtop delta: {label} (baseline -> current) ==\n"));
-    let empty: &[Value] = &[];
-    let cur_stages = cur.get("stages").and_then(Value::as_arr).unwrap_or(empty);
-    let base_stages = base.get("stages").and_then(Value::as_arr).unwrap_or(empty);
-    if !cur_stages.is_empty() || !base_stages.is_empty() {
+    let rows = |key| delta.get(key).and_then(Value::as_arr).unwrap_or(&[]).to_vec();
+    let stages = rows("stages");
+    if !stages.is_empty() {
         out.push_str("stage   util base->cur        tau base->cur\n");
-        for i in 0..cur_stages.len().max(base_stages.len()) {
-            let u = |side: &[Value]| num(side.get(i).and_then(|s| s.get("util")));
-            let t = |side: &[Value]| num(side.get(i).and_then(|s| s.get("tau")));
-            out.push_str(&format!(
-                "{i:>5}   {:>5} -> {:<5} ({})   {:>5} -> {:<5}\n",
-                fmt(u(base_stages), 3),
-                fmt(u(cur_stages), 3),
-                pct_delta(u(base_stages), u(cur_stages)),
-                fmt(t(base_stages), 2),
-                fmt(t(cur_stages), 2),
-            ));
-        }
     }
-    let (Some(Value::Obj(cm)), Some(bm)) = (cur.get("metrics"), base.get("metrics")) else {
-        return out;
-    };
-    let mut any = false;
-    for (name, m) in cm {
-        if m.get("type").and_then(Value::as_str) != Some("counter") {
-            continue;
-        }
-        let b = num(bm.get(name).and_then(|v| v.get("value")));
-        if !b.is_finite() {
-            continue;
-        }
-        let c = num(m.get("value"));
-        if !any {
-            out.push_str("counter                      base -> cur\n");
-            any = true;
-        }
+    for st in &stages {
+        let f = |k| num(st.get(k));
+        out.push_str(&format!(
+            "{:>5}   {:>5} -> {:<5} ({})   {:>5} -> {:<5}\n",
+            f("stage") as u64,
+            fmt(f("util_base"), 3),
+            fmt(f("util_cur"), 3),
+            pct_delta(f("util_base"), f("util_cur")),
+            fmt(f("tau_base"), 2),
+            fmt(f("tau_cur"), 2),
+        ));
+    }
+    let Some(Value::Obj(counters)) = delta.get("counters") else { return out };
+    if !counters.is_empty() {
+        out.push_str("counter                      base -> cur\n");
+    }
+    for (name, c) in counters {
+        let (b, c) = (num(c.get("base")), num(c.get("cur")));
         out.push_str(&format!(
             "{name:<26} {:>7} -> {:<7} ({})\n",
             fmt(b, 0),
             fmt(c, 0),
-            pct_delta(b, c),
+            pct_delta(b, c)
         ));
     }
     out
@@ -243,24 +237,32 @@ pub fn render_delta(label: &str, cur: &Value, base: &Value) -> String {
 
 /// Machine-readable variant of [`render_delta`]: the same per-stage
 /// and shared-counter comparison as a JSON object, emitted by
-/// `pmtop --json --baseline` for scripted regression checks.
+/// `pmtop --json --baseline` and `pmquery diff --json` for scripted
+/// regression checks. Rows pair by stage id, so a worker's single
+/// own-stage row keeps its stage.
 pub fn delta_json(cur: &Value, base: &Value) -> Value {
-    let empty: &[Value] = &[];
-    let cur_stages = cur.get("stages").and_then(Value::as_arr).unwrap_or(empty);
-    let base_stages = base.get("stages").and_then(Value::as_arr).unwrap_or(empty);
-    let mut stages = Vec::new();
-    for i in 0..cur_stages.len().max(base_stages.len()) {
-        let u = |side: &[Value]| num(side.get(i).and_then(|s| s.get("util")));
-        let t = |side: &[Value]| num(side.get(i).and_then(|s| s.get("tau")));
-        stages.push(
+    let rows = |side: &Value| -> Vec<Value> {
+        side.get("stages").and_then(Value::as_arr).map(<[Value]>::to_vec).unwrap_or_default()
+    };
+    let (cur_rows, base_rows) = (rows(cur), rows(base));
+    let mut ids: Vec<u64> =
+        cur_rows.iter().chain(&base_rows).map(|r| num(r.get("stage")) as u64).collect();
+    ids.sort_unstable();
+    ids.dedup();
+    let field = |side: &[Value], id: u64, key: &str| {
+        num(side.iter().find(|r| num(r.get("stage")) as u64 == id).and_then(|r| r.get(key)))
+    };
+    let stages = ids
+        .into_iter()
+        .map(|id| {
             Value::obj()
-                .set("stage", i as u64)
-                .set("util_base", u(base_stages))
-                .set("util_cur", u(cur_stages))
-                .set("tau_base", t(base_stages))
-                .set("tau_cur", t(cur_stages)),
-        );
-    }
+                .set("stage", id)
+                .set("util_base", field(&base_rows, id, "util"))
+                .set("util_cur", field(&cur_rows, id, "util"))
+                .set("tau_base", field(&base_rows, id, "tau"))
+                .set("tau_cur", field(&cur_rows, id, "tau"))
+        })
+        .collect();
     let mut counters = Value::obj();
     if let (Some(Value::Obj(cm)), Some(bm)) = (cur.get("metrics"), base.get("metrics")) {
         for (name, m) in cm {

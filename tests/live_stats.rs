@@ -12,7 +12,8 @@ use rand::SeedableRng;
 
 use pipemare::comms::{
     channel, loopback_pair, run_stage_worker_stats, spawn_loopback_workers, DistConfig,
-    DistributedTrainer, Message, PassKind, SparseMode, StageConfig, PROTOCOL_VERSION,
+    DistributedTrainer, Message, PassKind, SparseMode, StageConfig, TensorPayload,
+    PROTOCOL_VERSION,
 };
 use pipemare::nn::{ImageBatch, Mlp, TrainModel};
 use pipemare::pipeline::Method;
@@ -20,7 +21,7 @@ use pipemare::serve::{InferClient, ServeConfig};
 use pipemare::telemetry::analyze;
 use pipemare::telemetry::json;
 use pipemare::telemetry::top;
-use pipemare::telemetry::{scrape_once, EventSource, SpanKind};
+use pipemare::telemetry::{events_from_jsonl_string, scrape_once, EventSource, SpanKind};
 use pipemare::tensor::{StoragePrecision, Tensor};
 use pipemare_core::{serve_checkpoint, TrainConfig};
 
@@ -215,6 +216,135 @@ fn orchestrator_live_store_sees_stages_and_wire_traffic() {
     for h in handles {
         h.join().expect("worker thread").expect("worker ok");
     }
+}
+
+fn is_fwd_or_bkwd(e: &TraceEvent) -> bool {
+    matches!(e.kind, SpanKind::Forward | SpanKind::Backward)
+}
+
+/// The per-stage rows of a scrape payload as `(stage, events,
+/// tau_pairs)`.
+fn scrape_rows(payload: &str) -> Vec<(u64, u64, u64)> {
+    let v = json::parse(payload).expect("stats payload parses");
+    let field = |row: &json::Value, key: &str| row.get(key).unwrap().as_f64().unwrap() as u64;
+    v.get("stages")
+        .unwrap()
+        .as_arr()
+        .unwrap()
+        .iter()
+        .map(|row| (field(row, "stage"), field(row, "events"), field(row, "tau_pairs")))
+        .collect()
+}
+
+#[test]
+fn worker_store_folds_the_spans_each_flush_drains() {
+    // Stage 1 of a 2-stage run, driven by hand: K steps of forward and
+    // backward fetches for both microbatches, then a gradient, a commit
+    // and a flush — the flush drains the worker's recorder.
+    const K: u64 = 3;
+    let cfg = StageConfig { stage: 1, stages: 2, shard_lo: 2, ..one_stage_config() };
+    let (driver_end, worker_end) = loopback_pair();
+    let worker = thread::spawn(move || {
+        let (tx, rx) = channel(Box::new(worker_end))?;
+        run_stage_worker_stats(tx, rx, None)
+    });
+    let (mut tx, mut rx) = channel(Box::new(driver_end)).expect("driver channel");
+    tx.send(&Message::Hello(cfg)).unwrap();
+    assert!(matches!(rx.recv().unwrap(), Message::HelloAck { stage: 1, .. }));
+    tx.send(&Message::InitShard { params: vec![0.3, 0.4] }).unwrap();
+    let mut shipped = Vec::new();
+    for step in 0..K {
+        for micro in 0..2 {
+            for pass in [PassKind::Fwd, PassKind::Bkwd] {
+                tx.send(&Message::FetchShard { step, micro, pass }).unwrap();
+                match rx.recv().unwrap() {
+                    Message::Shard { .. } | Message::ShardUnchanged { .. } => {}
+                    other => panic!("expected a shard reply, got {}", other.name()),
+                }
+            }
+        }
+        let data = TensorPayload::Dense(vec![0.01, -0.02]);
+        tx.send(&Message::GradShard { step, lr: 0.1, apply: true, trace: step + 1, data }).unwrap();
+        assert!(matches!(rx.recv().unwrap(), Message::StepAck { .. }));
+        tx.send(&Message::Commit { step, keep: true }).unwrap();
+        assert!(matches!(rx.recv().unwrap(), Message::CommitAck { .. }));
+        tx.send(&Message::Flush { id: step }).unwrap();
+        match rx.recv().unwrap() {
+            Message::Telemetry { jsonl, .. } => {
+                shipped.extend(events_from_jsonl_string(&jsonl).expect("telemetry parses"));
+            }
+            other => panic!("expected Telemetry, got {}", other.name()),
+        }
+        assert!(matches!(rx.recv().unwrap(), Message::FlushAck { .. }));
+    }
+    let spans = shipped.iter().filter(|e| is_fwd_or_bkwd(e)).count() as u64;
+    assert_eq!(spans, 4 * K, "every fetch records one span");
+    assert!(shipped.iter().any(|e| e.kind == SpanKind::Step), "Step spans ship too");
+
+    tx.send(&Message::StatsRequest { id: 9 }).unwrap();
+    match rx.recv().unwrap() {
+        Message::StatsReply { json: payload, .. } => {
+            // One row, for the worker's own stage, counting every drained
+            // forward and backward (Step spans are not stage spans), and
+            // the nominal τ of stage 1 of 2.
+            assert_eq!(scrape_rows(&payload), vec![(1, spans, 2 * K)]);
+            let v = json::parse(&payload).unwrap();
+            let row = &v.get("stages").unwrap().as_arr().unwrap()[0];
+            assert_eq!(row.get("tau_nominal").unwrap().as_f64(), Some(1.0));
+        }
+        other => panic!("expected StatsReply, got {}", other.name()),
+    }
+    tx.send(&Message::Shutdown).unwrap();
+    assert!(matches!(rx.recv().unwrap(), Message::Telemetry { .. }));
+    assert!(matches!(rx.recv().unwrap(), Message::ShutdownAck { .. }));
+    worker.join().expect("worker thread").expect("worker exits cleanly");
+}
+
+#[test]
+fn orchestrator_rows_count_the_merged_worker_spans() {
+    const K: usize = 3;
+    let model = Mlp::new(&[4, 10, 2]);
+    let (stages, n_micro) = (2, 2);
+    let train = TrainConfig::pipemare(
+        stages,
+        n_micro,
+        OptimizerKind::Momentum { beta: 0.9, weight_decay: 0.0 },
+        Box::new(ConstantLr(0.05)),
+        T1Rescheduler::new(24),
+        0.9,
+    );
+    let cfg = DistConfig { train, sparse_grads: SparseMode::Dense, recv_timeout: None };
+    let (transports, handles) = spawn_loopback_workers(stages);
+    let mut trainer =
+        DistributedTrainer::connect(&model, cfg, 3, transports).expect("trainer connects");
+    let weights = vec![1.0 / n_micro as f32; n_micro];
+    let mut rng = StdRng::seed_from_u64(8);
+    for _ in 0..K {
+        let micro: Vec<ImageBatch> = (0..n_micro)
+            .map(|_| ImageBatch { x: Tensor::randn(&[4, 4], &mut rng), y: vec![0, 1, 0, 1] })
+            .collect();
+        trainer.train_minibatch(&micro, &weights).expect("minibatch trains");
+    }
+    let store = trainer.live_store();
+    let report = trainer.shutdown().expect("clean shutdown");
+    for h in handles {
+        h.join().expect("worker thread").expect("worker ok");
+    }
+    store.sample();
+    let rows = scrape_rows(&store.scrape_line());
+    assert_eq!(rows.len(), stages);
+    for (s, &(stage, events, tau_pairs)) in rows.iter().enumerate() {
+        let on_stage = |kind| {
+            report.events.iter().filter(|e| e.stage == s as u32 && e.kind == kind).count() as u64
+        };
+        let (fwd, bkwd) = (on_stage(SpanKind::Forward), on_stage(SpanKind::Backward));
+        assert_eq!(stage, s as u64);
+        assert!(fwd > 0 && bkwd > 0, "stage {s} served fetches");
+        assert_eq!(events, fwd + bkwd, "stage {s} row counts every merged span");
+        assert_eq!(tau_pairs, bkwd, "stage {s}: every backward pairs");
+    }
+    // The driver's Step spans carry stage 0 but are not stage spans.
+    assert!(report.events.iter().any(|e| e.kind == SpanKind::Step && e.stage == 0));
 }
 
 // ---------------------------------------------------------------------------
